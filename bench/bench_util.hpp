@@ -34,9 +34,9 @@ inline PowerConfig powerConfigFor(const std::string& name, std::uint64_t seed = 
     PowerConfig cfg;
     cfg.seed = seed;
     if (name != "s27") {
-        cfg.ff_hold_prob = findCircuit(name).ff_hold_prob;
-        // Control-dominated circuits idle on the input side too.
-        cfg.pi_toggle_prob = 0.3 * (1.0 - 0.8 * cfg.ff_hold_prob);
+        const CircuitSpec& spec = findCircuit(name);
+        cfg.ff_hold_prob = spec.ff_hold_prob;
+        cfg.pi_toggle_prob = spec.piToggleProb();
     }
     return cfg;
 }

@@ -5,13 +5,22 @@
 #include "core/kit.hpp"
 #include "util/table.hpp"
 
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 using namespace flh;
 
 int main(int argc, char** argv) {
     const std::string circuit = argc > 1 ? argv[1] : "s344";
-    const DelayTestKit kit = DelayTestKit::forCircuit(circuit);
+    const DelayTestKit kit = [&] {
+        try {
+            return DelayTestKit::forCircuit(circuit);
+        } catch (const std::out_of_range&) {
+            std::cerr << "delay_test_flow: unknown circuit '" << circuit << "'\n";
+            std::exit(2);
+        }
+    }();
     const Netlist& nl = kit.netlist();
 
     std::cout << "=== Delay-test flow on " << circuit << " (FLH) ===\n\n";

@@ -3,12 +3,14 @@
 // — the workflow of a DFT engineer deciding how to equip a design for
 // two-pattern delay test. Optional CSV output for plotting.
 //
-// Usage: dft_explorer [circuit] [--csv]
+// Usage: dft_explorer [circuit] [--csv]   (unknown circuit: exit 2)
 #include "core/kit.hpp"
 #include "util/table.hpp"
 
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,7 +28,14 @@ int main(int argc, char** argv) {
         }
     }
 
-    DelayTestKit kit = DelayTestKit::forCircuit(circuit);
+    DelayTestKit kit = [&] {
+        try {
+            return DelayTestKit::forCircuit(circuit);
+        } catch (const std::out_of_range&) {
+            std::cerr << "dft_explorer: unknown circuit '" << circuit << "'\n";
+            std::exit(2);
+        }
+    }();
     std::cout << "=== DFT explorer: " << circuit << " ===\n\n";
 
     // --- style comparison ---------------------------------------------------

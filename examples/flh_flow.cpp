@@ -23,10 +23,8 @@
 //   --sample MS        background metrics sampler: counter curves in the
 //                      trace + --timeseries export
 //   --heartbeat SEC    rate-limited stderr progress line for long runs
-#include "flow/manifest.hpp"
 #include "flow/paper_flow.hpp"
 #include "obs/benchio.hpp"
-#include "obs/eventlog.hpp"
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "util/cli.hpp"
@@ -49,27 +47,11 @@ constexpr const char* kUsage = R"(usage: flh_flow [options]
   --sim-threads N      override the fault-sim budget separately from the
                        scheduler width
   --cache-dir DIR      result cache directory (default .flowcache)
-  --cache-max-bytes N  GC byte budget (suffixes k/m/g); 0 = unbounded
-  --cache-max-entries N GC entry budget; 0 = unbounded
-  --cache-max-age SEC  GC age bound in seconds; 0 = none
-  --cache-gc           run one GC pass when the cache opens
   --no-cache           recompute everything, touch no cache
-  --gc                 standalone mode: GC the cache under the budgets
-                       above, print the result, and exit (no flow runs)
-  --gc-json FILE       write the GC result + cache stats as JSON
-  --drain MANIFEST     fleet mode: cooperatively drain a manifest of
-                       designs (claim files coordinate N processes
-                       sharing one cache; see --claims)
-  --claims DIR         claim directory for --drain
-                       (default: <MANIFEST>.claims)
-  --drain-summary FILE write this drainer's summary JSON (claim counts,
-                       hit/miss totals, cache stats)
   --report FILE        deterministic run report (default flow_report.json)
   --profile FILE       timing/cache profile (default flow_profile.json)
   --trace FILE         write a Chrome trace_event JSON (enables telemetry)
   --metrics FILE       write flat telemetry metrics (enables telemetry)
-  --events FILE        write a structured JSONL event log (claim races,
-                       GC evictions, ...; independent of --trace)
   --bench-json FILE    write the bench-trajectory export (BENCH_flow.json)
   --out DIR            directory for bench exports (overrides FLH_BENCH_OUT)
   --sample MS          sample counters/RSS every MS ms on a background thread
@@ -87,7 +69,6 @@ constexpr const char* kUsage = R"(usage: flh_flow [options]
 int main(int argc, char** argv) {
     cli::ArgScan scan(argc, argv, "flh_flow", kUsage);
     cli::CommonFlags common;
-    cli::CacheFlags cache_flags;
     std::vector<std::string> circuits = {"s27", "s298"};
     FlowOptions opts;
     PaperFlowConfig cfg;
@@ -95,28 +76,19 @@ int main(int argc, char** argv) {
     std::string profile_path = "flow_profile.json";
     std::string bench_path;
     std::string timeseries_path;
-    std::string manifest_path;
-    std::string claims_dir;
-    std::string drain_summary_path;
-    std::string gc_json_path;
-    bool gc_mode = false;
     unsigned sample_ms = 0;
     double require_hit_rate = -1.0;
     bool sim_threads_set = false;
 
     while (scan.next()) {
         if (common.tryParse(scan)) continue;
-        if (cache_flags.tryParse(scan)) continue;
         if (scan.is("--circuits")) circuits = scan.list();
         else if (scan.is("--sim-threads")) {
             opts.sim_threads = scan.num<unsigned>();
             sim_threads_set = true;
         }
-        else if (scan.is("--gc")) gc_mode = true;
-        else if (scan.is("--gc-json")) gc_json_path = scan.value();
-        else if (scan.is("--drain")) manifest_path = scan.value();
-        else if (scan.is("--claims")) claims_dir = scan.value();
-        else if (scan.is("--drain-summary")) drain_summary_path = scan.value();
+        else if (scan.is("--cache-dir")) opts.cache.dir = scan.value();
+        else if (scan.is("--no-cache")) opts.cache.enabled = false;
         else if (scan.is("--report")) report_path = scan.value();
         else if (scan.is("--profile")) profile_path = scan.value();
         else if (scan.is("--bench-json")) bench_path = scan.value();
@@ -128,59 +100,6 @@ int main(int argc, char** argv) {
         else scan.unknownOption();
     }
     if (circuits.empty()) scan.usageError("empty --circuits list");
-    if (gc_mode && !manifest_path.empty()) scan.usageError("--gc and --drain are exclusive");
-    opts.cache = makeCacheConfig(cache_flags);
-
-    // The JSONL event sink is independent of the span/metrics telemetry
-    // gate: decision events (claim races, GC evictions) flow even when
-    // tracing is off. The guard closes the sink (writing the trailer) on
-    // every return path below.
-    struct EventSinkCloser {
-        ~EventSinkCloser() { obs::closeEventSink(); }
-    } event_sink_closer;
-    if (!common.events_path.empty()) {
-        obs::setEventLogEnabled(true);
-        if (!obs::openEventSink(common.events_path)) {
-            std::cerr << "flh_flow: cannot write " << common.events_path << "\n";
-            return 1;
-        }
-    }
-
-    // Standalone GC mode: open the cache (a fresh handle pins nothing, so
-    // the budgets bite), run one pass, report, exit.
-    if (gc_mode) {
-        if (!opts.cache.enabled) scan.usageError("--gc with --no-cache makes no sense");
-        opts.cache.gc_on_open = false; // the explicit gc() below is the pass
-        try {
-            FlowCache cache(opts.cache);
-            const GcResult gc = cache.gc();
-            const CacheStats stats = cache.stats();
-            if (!gc_json_path.empty()) {
-                JsonWriter w;
-                w.beginObject();
-                w.kv("schema", "flh.flow.gc/1");
-                w.key("gc");
-                gc.writeJson(w);
-                w.key("cache");
-                stats.writeJson(w);
-                w.endObject();
-                cli::writeFileOrDie("flh_flow", gc_json_path, w.str() + "\n");
-            }
-            if (!common.quiet) {
-                std::cout << "flh_flow: gc " << opts.cache.dir << ": scanned "
-                          << gc.scanned_entries << " entries (" << gc.scanned_bytes
-                          << " bytes), evicted " << gc.evicted_entries << " ("
-                          << gc.evicted_bytes << " bytes), swept " << gc.swept_temps
-                          << " temps; live " << gc.live_entries << " entries ("
-                          << gc.live_bytes << " bytes), shard skew "
-                          << fmt(stats.shard_skew, 2) << "\n";
-            }
-        } catch (const std::exception& e) {
-            std::cerr << "flh_flow: gc failed: " << e.what() << "\n";
-            return 1;
-        }
-        return 0;
-    }
 
     // One --threads flag drives both pools (ExecPolicy everywhere);
     // --sim-threads remains as an explicit override.
@@ -196,73 +115,6 @@ int main(int argc, char** argv) {
     if (common.wantsTelemetry() || sample_ms > 0) {
         obs::setEnabled(true);
         obs::setThreadLabel("main");
-    }
-
-    // Fleet mode: drain a manifest cooperatively with any number of other
-    // drainer processes sharing the cache, then report this drainer's slice.
-    if (!manifest_path.empty()) {
-        try {
-            const Manifest manifest = loadManifest(manifest_path);
-            if (claims_dir.empty()) claims_dir = manifest_path + ".claims";
-            std::shared_ptr<FlowCache> cache;
-            if (opts.cache.enabled) {
-                cache = std::make_shared<FlowCache>(opts.cache);
-                opts.cache_handle = cache;
-            }
-            std::unique_ptr<obs::Sampler> sampler;
-            if (sample_ms > 0) {
-                obs::SamplerOptions sopts;
-                sopts.period_ms = sample_ms;
-                sopts.heartbeat_every_s = common.heartbeat_s;
-                if (common.heartbeat_s > 0.0) sopts.heartbeat_out = &std::cerr;
-                sampler = std::make_unique<obs::Sampler>(sopts);
-                sampler->start();
-            }
-            const DrainReport drain = drainManifest(manifest, claims_dir, opts);
-            if (sampler) sampler->stop();
-            const RunReport& report = drain.report;
-
-            cli::writeFileOrDie("flh_flow", report_path, report.reportJson());
-            cli::writeFileOrDie("flh_flow", profile_path, report.profileJson());
-            const CacheStats stats = cache ? cache->stats() : CacheStats{};
-            if (!drain_summary_path.empty())
-                cli::writeFileOrDie("flh_flow", drain_summary_path,
-                                    drain.summaryJson(stats) + "\n");
-            if (!common.trace_path.empty())
-                cli::writeFileOrDie("flh_flow", common.trace_path, obs::traceJson());
-            if (!common.metrics_path.empty())
-                cli::writeFileOrDie("flh_flow", common.metrics_path, obs::metricsJson());
-            if (sampler && !timeseries_path.empty())
-                cli::writeFileOrDie("flh_flow",
-                                    obs::benchOutPath(timeseries_path, common.out_flag),
-                                    sampler->timeseriesJson());
-
-            if (!common.quiet) {
-                std::cout << "flh_flow: drained " << drain.claimed << "/" << drain.total
-                          << " designs (" << drain.already_claimed
-                          << " claimed elsewhere): " << report.hits() << " hits, "
-                          << report.misses() << " misses, " << report.failures()
-                          << " failures\n";
-            }
-            if (report.failures() > 0) {
-                for (const StageRecord& r : report.records())
-                    if (r.failed)
-                        std::cerr << "flh_flow: " << r.design << "/" << r.stage << ": "
-                                  << r.error << "\n";
-                return 1;
-            }
-            if (require_hit_rate >= 0.0 && drain.claimed > 0 &&
-                report.hitRate() < require_hit_rate) {
-                std::cerr << "flh_flow: cache hit rate " << fmt(100.0 * report.hitRate(), 1)
-                          << "% below required " << fmt(100.0 * require_hit_rate, 1)
-                          << "%\n";
-                return 1;
-            }
-        } catch (const std::exception& e) {
-            std::cerr << "flh_flow: drain failed: " << e.what() << "\n";
-            return 1;
-        }
-        return 0;
     }
 
     std::vector<DesignInput> designs;

@@ -8,13 +8,22 @@
 #include "core/kit.hpp"
 #include "util/table.hpp"
 
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 using namespace flh;
 
 int main(int argc, char** argv) {
     const std::string circuit = argc > 1 ? argv[1] : "s641";
-    const DelayTestKit kit = DelayTestKit::forCircuit(circuit);
+    const DelayTestKit kit = [&] {
+        try {
+            return DelayTestKit::forCircuit(circuit);
+        } catch (const std::out_of_range&) {
+            std::cerr << "scan_power_audit: unknown circuit '" << circuit << "'\n";
+            std::exit(2);
+        }
+    }();
     const std::size_t chain = kit.scanInfo().chain_length;
 
     std::cout << "=== Scan power audit: " << circuit << " (chain length " << chain

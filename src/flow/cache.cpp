@@ -1,20 +1,12 @@
 #include "flow/cache.hpp"
 
-#include "obs/eventlog.hpp"
 #include "obs/telemetry.hpp"
-#include "util/cli.hpp"
-#include "util/filelock.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
-#include <string_view>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 namespace fs = std::filesystem;
@@ -23,19 +15,7 @@ namespace flh {
 
 namespace {
 
-/// Compact a shard's index log once it outgrows this (appends are cheap;
-/// folding a huge log on every GC is not).
-constexpr std::uintmax_t kCompactThresholdBytes = 256 * 1024;
-
 constexpr std::string_view kArtSuffix = ".art";
-constexpr std::string_view kIndexLog = "index.log";
-constexpr std::string_view kIndexLock = "index.lock";
-
-std::uint64_t wallMs() {
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                          std::chrono::system_clock::now().time_since_epoch())
-                                          .count());
-}
 
 int hexVal(char c) {
     if (c >= '0' && c <= '9') return c - '0';
@@ -44,150 +24,26 @@ int hexVal(char c) {
     return -1;
 }
 
-/// True for a 32-hex-char artifact file stem.
-bool isKeyHex(std::string_view s) {
-    if (s.size() != 32) return false;
-    for (const char c : s)
+/// True for an artifact file name: 32 hex chars then ".art".
+bool isArtifactName(std::string_view name) {
+    if (name.size() != 32 + kArtSuffix.size() || !name.ends_with(kArtSuffix)) return false;
+    for (const char c : name.substr(0, 32))
         if (hexVal(c) < 0) return false;
     return true;
 }
 
-struct StatInfo {
-    std::uint64_t bytes = 0;
-    std::uint64_t mtime_ms = 0;
-};
-
-std::optional<StatInfo> statFile(const std::string& path) {
-    struct ::stat st{};
-    if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-    StatInfo info;
-    info.bytes = static_cast<std::uint64_t>(st.st_size);
-    info.mtime_ms = static_cast<std::uint64_t>(st.st_mtim.tv_sec) * 1000 +
-                    static_cast<std::uint64_t>(st.st_mtim.tv_nsec) / 1000000;
-    return info;
-}
-
-struct IndexInfo {
-    std::uint64_t touch_ms = 0; ///< newest P/T timestamp seen
-};
-
-/// Fold an index log: newest touch per key. Lock-free by design — a torn
-/// trailing line (a writer mid-append) parses as malformed and is skipped.
-std::unordered_map<std::string, IndexInfo> foldIndexLog(const std::string& path) {
-    std::unordered_map<std::string, IndexInfo> out;
-    const std::optional<std::string> text = readFileIfExists(path);
-    if (!text) return out;
-    std::size_t pos = 0;
-    while (pos < text->size()) {
-        std::size_t eol = text->find('\n', pos);
-        if (eol == std::string::npos) break; // torn tail: ignore
-        const std::string_view line(text->data() + pos, eol - pos);
-        pos = eol + 1;
-        // "P <key> <bytes> <ts>" or "T <key> <ts>"
-        if (line.size() < 36 || (line[0] != 'P' && line[0] != 'T') || line[1] != ' ')
-            continue;
-        const std::string_view key = line.substr(2, 32);
-        if (!isKeyHex(key) || line.size() < 35 || line[34] != ' ') continue;
-        const std::string_view rest = line.substr(35);
-        // Timestamp is the last space-separated token.
-        const std::size_t sp = rest.rfind(' ');
-        const std::string_view ts_tok = sp == std::string_view::npos ? rest : rest.substr(sp + 1);
-        std::uint64_t ts = 0;
-        bool ok = !ts_tok.empty();
-        for (const char c : ts_tok) {
-            if (c < '0' || c > '9') {
-                ok = false;
-                break;
-            }
-            ts = ts * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (!ok) continue;
-        IndexInfo& info = out[std::string(key)];
-        info.touch_ms = std::max(info.touch_ms, ts);
-    }
-    return out;
-}
-
-/// One on-disk entry as seen by a shard scan.
-struct DiskEntry {
-    std::string key_hex;
-    unsigned shard = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t touch_ms = 0; ///< index touch if tracked, else file mtime
-};
-
-struct ShardScan {
-    std::vector<DiskEntry> entries;
-    std::vector<std::string> temp_paths; ///< every *.tmp* file (with mtime filter applied)
-};
-
-/// Scan one shard directory: artifacts (with LRU touch times) and stale
-/// temp files. `temp_age_ms` < 0 skips temp collection entirely.
-ShardScan scanShard(const std::string& shard_dir, unsigned shard,
-                    const std::unordered_map<std::string, IndexInfo>& index,
-                    double temp_age_s, std::uint64_t real_now_ms) {
-    ShardScan scan;
-    std::error_code ec;
-    for (fs::directory_iterator it(shard_dir, ec), end; !ec && it != end; it.increment(ec)) {
-        const fs::path& p = it->path();
-        const std::string name = p.filename().string();
-        if (name.size() > kArtSuffix.size() &&
-            name.compare(name.size() - kArtSuffix.size(), kArtSuffix.size(), kArtSuffix) == 0) {
-            const std::string stem = name.substr(0, name.size() - kArtSuffix.size());
-            if (!isKeyHex(stem)) continue;
-            const std::optional<StatInfo> st = statFile(p.string());
-            if (!st) continue; // raced with an eviction
-            DiskEntry e;
-            e.key_hex = stem;
-            e.shard = shard;
-            e.bytes = st->bytes;
-            const auto idx = index.find(stem);
-            e.touch_ms = idx != index.end() ? idx->second.touch_ms : st->mtime_ms;
-            scan.entries.push_back(std::move(e));
-        } else if (name.find(".tmp") != std::string::npos && temp_age_s >= 0.0) {
-            const std::optional<StatInfo> st = statFile(p.string());
-            if (!st) continue;
-            if (real_now_ms >= st->mtime_ms &&
-                static_cast<double>(real_now_ms - st->mtime_ms) >= temp_age_s * 1000.0)
-                scan.temp_paths.push_back(p.string());
-        }
-    }
-    return scan;
-}
-
-/// Rewrite a shard's index log as the fold of (current log, directory
-/// contents). Caller holds the shard flock. Artifact files are the ground
-/// truth for existence; the log contributes touch times.
-void compactShardLocked(const std::string& shard_dir) {
-    const std::string log_path = shard_dir + "/" + std::string(kIndexLog);
-    const auto index = foldIndexLog(log_path);
-    std::vector<std::string> lines;
-    std::error_code ec;
-    for (fs::directory_iterator it(shard_dir, ec), end; !ec && it != end; it.increment(ec)) {
-        const std::string name = it->path().filename().string();
-        if (name.size() <= kArtSuffix.size() ||
-            name.compare(name.size() - kArtSuffix.size(), kArtSuffix.size(), kArtSuffix) != 0)
-            continue;
-        const std::string stem = name.substr(0, name.size() - kArtSuffix.size());
-        if (!isKeyHex(stem)) continue;
-        const std::optional<StatInfo> st = statFile(it->path().string());
-        if (!st) continue;
-        const auto idx = index.find(stem);
-        const std::uint64_t ts = idx != index.end() ? idx->second.touch_ms : st->mtime_ms;
-        lines.push_back("P " + stem + " " + std::to_string(st->bytes) + " " +
-                        std::to_string(ts) + "\n");
-    }
-    std::sort(lines.begin(), lines.end());
-    std::string joined;
-    for (const std::string& l : lines) joined += l;
-    replaceFileAtomic(log_path, joined);
+std::optional<std::string> readFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return std::nullopt;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 struct CacheTelemetry {
     obs::Counter& hits = obs::counter("cache.hits");
     obs::Counter& misses = obs::counter("cache.misses");
     obs::Counter& stores = obs::counter("cache.stores");
-    obs::Counter& evictions = obs::counter("cache.evictions");
     obs::Gauge& entries = obs::gauge("cache.entries");
     obs::Gauge& bytes = obs::gauge("cache.bytes");
 
@@ -222,54 +78,18 @@ CacheKey CacheKey::parse(std::string_view hex) {
 
 FlowCache::FlowCache(CacheConfig cfg) : cfg_(std::move(cfg)) {
     if (cfg_.dir.empty()) throw std::runtime_error("FlowCache: empty directory");
-    if (cfg_.gc_on_open) (void)gc();
-}
-
-std::uint64_t FlowCache::nowMs() const { return cfg_.clock ? cfg_.clock() : wallMs(); }
-
-std::string FlowCache::shardDir(unsigned shard) const {
-    static const char* hexd = "0123456789abcdef";
-    std::string d = cfg_.dir;
-    d += '/';
-    d += hexd[(shard >> 4) & 0xf];
-    d += hexd[shard & 0xf];
-    return d;
 }
 
 std::string FlowCache::artifactPath(const CacheKey& key) const {
-    return shardDir(key.shard()) + "/" + key.hex() + std::string(kArtSuffix);
-}
-
-void FlowCache::appendIndex(unsigned shard, char tag, const std::string& key_hex,
-                            std::uint64_t bytes) const {
-    std::string line;
-    line += tag;
-    line += ' ';
-    line += key_hex;
-    line += ' ';
-    if (tag == 'P') {
-        line += std::to_string(bytes);
-        line += ' ';
-    }
-    line += std::to_string(nowMs());
-    line += '\n';
-    // Advisory: a failed append only costs LRU precision (GC rediscovers
-    // the artifact from the directory scan).
-    (void)appendLine(shardDir(shard) + "/" + std::string(kIndexLog), line);
+    return cfg_.dir + "/" + key.hex() + std::string(kArtSuffix);
 }
 
 std::optional<Artifact> FlowCache::get(const CacheKey& key) {
-    const std::optional<std::string> bytes = readFileIfExists(artifactPath(key));
-    if (bytes) {
+    if (const std::optional<std::string> bytes = readFile(artifactPath(key))) {
         try {
             Artifact art = Artifact::deserialize(*bytes);
             hits_.fetch_add(1, std::memory_order_relaxed);
             CacheTelemetry::get().hits.add(1);
-            appendIndex(key.shard(), 'T', key.hex(), 0);
-            {
-                std::lock_guard<std::mutex> lock(pins_mu_);
-                pins_.insert(key.hex());
-            }
             return art;
         } catch (const std::exception&) {
             // corrupt entry == miss; put() will replace it
@@ -281,276 +101,53 @@ std::optional<Artifact> FlowCache::get(const CacheKey& key) {
 }
 
 void FlowCache::put(const CacheKey& key, const Artifact& art) {
-    const unsigned shard = key.shard();
-    const std::string dir = shardDir(shard);
-    fs::create_directories(dir);
+    fs::create_directories(cfg_.dir);
 
-    // Unique temp name per store call: concurrent workers (and concurrent
-    // processes sharing one cache) must not clobber each other's in-flight
-    // writes. The final rename is atomic either way.
+    // Unique temp name per store call: concurrent workers (and processes
+    // sharing one cache) must not clobber each other's in-flight writes.
+    // The final rename is atomic either way.
     static std::atomic<std::uint64_t> counter{0};
-    const std::string hex = key.hex();
-    const fs::path path = fs::path(dir) / (hex + std::string(kArtSuffix));
-    const fs::path tmp =
-        fs::path(dir) / (hex + ".tmp" + std::to_string(counter.fetch_add(1)) + "." +
-                         std::to_string(static_cast<std::uint64_t>(::getpid())));
+    const fs::path path = artifactPath(key);
+    const fs::path tmp = cfg_.dir + "/" + key.hex() + ".tmp" +
+                         std::to_string(counter.fetch_add(1)) + "." +
+                         std::to_string(static_cast<std::uint64_t>(::getpid()));
     const std::string bytes = art.serialize();
-    // One retry: a collector configured with a very low temp_sweep_age_s can
-    // sweep our in-flight temp between the write and the rename, surfacing
-    // as ENOENT on the rename. The write is idempotent, so redo it once.
-    for (int attempt = 0;; ++attempt) {
-        try {
-            {
-                std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-                if (!out) throw std::runtime_error("FlowCache: cannot write " + tmp.string());
-                out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-                if (!out) throw std::runtime_error("FlowCache: short write to " + tmp.string());
-            }
-            fs::rename(tmp, path);
-            break;
-        } catch (const fs::filesystem_error& e) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            if (attempt == 0 && e.code() == std::errc::no_such_file_or_directory) continue;
-            throw;
-        } catch (...) {
-            // Never leave an orphaned temp behind a failed store (ENOSPC,
-            // cross-device rename, target occupied by a directory, ...).
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            throw;
+    try {
+        {
+            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+            if (!out) throw std::runtime_error("FlowCache: cannot write " + tmp.string());
+            out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+            if (!out) throw std::runtime_error("FlowCache: short write to " + tmp.string());
         }
+        fs::rename(tmp, path);
+    } catch (...) {
+        // Never leave an orphaned temp behind a failed store (ENOSPC,
+        // cross-device rename, target occupied by a directory, ...).
+        std::error_code ec;
+        fs::remove(tmp, ec);
+        throw;
     }
     stores_.fetch_add(1, std::memory_order_relaxed);
     CacheTelemetry::get().stores.add(1);
-    appendIndex(shard, 'P', hex, bytes.size());
-    {
-        std::lock_guard<std::mutex> lock(pins_mu_);
-        pins_.insert(hex);
-    }
-    maybeCompact(shard);
 }
 
-void FlowCache::maybeCompact(unsigned shard) {
-    const std::string dir = shardDir(shard);
-    const std::optional<StatInfo> st = statFile(dir + "/" + std::string(kIndexLog));
-    if (!st || st->bytes < kCompactThresholdBytes) return;
-    // Best effort: if another process is compacting or evicting, skip —
-    // the log shrinks either way.
-    std::optional<FileLock> lock = FileLock::tryAcquire(dir + "/" + std::string(kIndexLock));
-    if (!lock) return;
-    compactShardLocked(dir);
-    compactions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-GcResult FlowCache::gc() {
-    GcResult res;
-    gc_runs_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t now = nowMs();
-    const std::uint64_t real_now = wallMs();
-
-    // Phase 1: lock-free scan of every shard (index fold + directory walk).
-    std::vector<DiskEntry> all;
-    std::vector<unsigned> shards_present;
-    for (unsigned s = 0; s < kCacheShards; ++s) {
-        const std::string dir = shardDir(s);
-        std::error_code ec;
-        if (!fs::is_directory(dir, ec)) continue;
-        shards_present.push_back(s);
-        const auto index = foldIndexLog(dir + "/" + std::string(kIndexLog));
-        ShardScan scan = scanShard(dir, s, index, cfg_.temp_sweep_age_s, real_now);
-        for (const std::string& tmp : scan.temp_paths) {
-            std::error_code rec;
-            if (fs::remove(tmp, rec)) ++res.swept_temps;
-        }
-        for (DiskEntry& e : scan.entries) all.push_back(std::move(e));
-    }
-    for (const DiskEntry& e : all) {
-        ++res.scanned_entries;
-        res.scanned_bytes += e.bytes;
-    }
-
-    // Phase 2: pick victims — age first, then LRU down to the budgets.
-    // Pinned keys (stored or hit by this handle: the live run's working
-    // set) are never victims.
-    std::unordered_set<std::string> pinned;
-    {
-        std::lock_guard<std::mutex> lock(pins_mu_);
-        pinned = pins_;
-    }
-    std::sort(all.begin(), all.end(), [](const DiskEntry& a, const DiskEntry& b) {
-        return a.touch_ms != b.touch_ms ? a.touch_ms < b.touch_ms : a.key_hex < b.key_hex;
-    });
-    std::uint64_t live_bytes = res.scanned_bytes;
-    std::uint64_t live_entries = res.scanned_entries;
-    std::vector<const DiskEntry*> victims;
-    std::vector<bool> victim_flag(all.size(), false);
-    const std::uint64_t age_cutoff =
-        cfg_.max_age_s > 0.0 && static_cast<double>(now) > cfg_.max_age_s * 1000.0
-            ? now - static_cast<std::uint64_t>(cfg_.max_age_s * 1000.0)
-            : 0;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (age_cutoff == 0 || all[i].touch_ms >= age_cutoff) continue;
-        if (pinned.count(all[i].key_hex)) continue;
-        victim_flag[i] = true;
-        victims.push_back(&all[i]);
-        live_bytes -= all[i].bytes;
-        --live_entries;
-    }
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        const bool over_bytes = cfg_.max_bytes > 0 && live_bytes > cfg_.max_bytes;
-        const bool over_entries = cfg_.max_entries > 0 && live_entries > cfg_.max_entries;
-        if (!over_bytes && !over_entries) break;
-        if (victim_flag[i] || pinned.count(all[i].key_hex)) continue;
-        victim_flag[i] = true;
-        victims.push_back(&all[i]);
-        live_bytes -= all[i].bytes;
-        --live_entries;
-    }
-
-    // Phase 3: per-shard eviction under the shard flock, with a freshness
-    // re-check — an entry another process touched after our scan is spared
-    // this round. Every present shard is compacted while we are here
-    // (crash-tolerant: the rewrite is temp-file + rename).
-    std::vector<std::vector<const DiskEntry*>> by_shard(kCacheShards);
-    for (const DiskEntry* v : victims) by_shard[v->shard].push_back(v);
-    for (const unsigned s : shards_present) {
-        const std::string dir = shardDir(s);
-        FileLock lock = FileLock::acquire(dir + "/" + std::string(kIndexLock));
-        if (!by_shard[s].empty()) {
-            const auto fresh = foldIndexLog(dir + "/" + std::string(kIndexLog));
-            for (const DiskEntry* v : by_shard[s]) {
-                const auto it = fresh.find(v->key_hex);
-                if (it != fresh.end() && it->second.touch_ms > v->touch_ms) {
-                    live_bytes += v->bytes; // touched since the scan: spare it
-                    ++live_entries;
-                    continue;
-                }
-                std::error_code ec;
-                if (fs::remove(dir + "/" + v->key_hex + std::string(kArtSuffix), ec)) {
-                    ++res.evicted_entries;
-                    res.evicted_bytes += v->bytes;
-                    evictions_.fetch_add(1, std::memory_order_relaxed);
-                    CacheTelemetry::get().evictions.add(1);
-                    // Per-entry Debug events; the event log's token bucket
-                    // bounds a mass eviction, and the gc_done summary below
-                    // always carries the exact totals.
-                    obs::logEvent(obs::EventLevel::Debug, "cache", "gc_evict",
-                                  {{"key", v->key_hex.substr(0, 16)},
-                                   {"bytes", v->bytes},
-                                   {"idle_ms", now > v->touch_ms ? now - v->touch_ms
-                                                                 : std::uint64_t{0}}});
-                } else {
-                    live_bytes += v->bytes; // already gone elsewhere
-                    ++live_entries;
-                }
-            }
-        }
-        compactShardLocked(dir);
-        compactions_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    res.live_entries = res.scanned_entries - res.evicted_entries;
-    res.live_bytes = res.scanned_bytes - res.evicted_bytes;
-    scanned_entries_.store(res.live_entries, std::memory_order_relaxed);
-    scanned_bytes_.store(res.live_bytes, std::memory_order_relaxed);
-    CacheTelemetry::get().entries.set(static_cast<std::int64_t>(res.live_entries));
-    CacheTelemetry::get().bytes.set(static_cast<std::int64_t>(res.live_bytes));
-    obs::logEvent(obs::EventLevel::Info, "cache", "gc_done",
-                  {{"scanned", res.scanned_entries},
-                   {"evicted", res.evicted_entries},
-                   {"evicted_bytes", res.evicted_bytes},
-                   {"swept_temps", res.swept_temps},
-                   {"live_entries", res.live_entries},
-                   {"live_bytes", res.live_bytes}});
-    return res;
-}
-
-CacheStats FlowCache::stats(bool scan_disk) const {
+CacheStats FlowCache::stats() const {
     CacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
     s.stores = stores_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.gc_runs = gc_runs_.load(std::memory_order_relaxed);
-    s.compactions = compactions_.load(std::memory_order_relaxed);
-    if (scan_disk) {
-        std::uint64_t entries = 0, bytes = 0, shards_used = 0, max_shard = 0;
-        static const std::unordered_map<std::string, IndexInfo> no_index;
-        for (unsigned sh = 0; sh < kCacheShards; ++sh) {
-            const std::string dir = shardDir(sh);
-            std::error_code ec;
-            if (!fs::is_directory(dir, ec)) continue;
-            // temp_age_s < 0: stats never touches temp files.
-            const ShardScan scan = scanShard(dir, sh, no_index, -1.0, 0);
-            if (scan.entries.empty()) continue;
-            ++shards_used;
-            max_shard = std::max<std::uint64_t>(max_shard, scan.entries.size());
-            entries += scan.entries.size();
-            for (const DiskEntry& e : scan.entries) bytes += e.bytes;
-        }
-        scanned_entries_.store(entries, std::memory_order_relaxed);
-        scanned_bytes_.store(bytes, std::memory_order_relaxed);
-        shards_used_.store(shards_used, std::memory_order_relaxed);
-        max_shard_entries_.store(max_shard, std::memory_order_relaxed);
-        CacheTelemetry::get().entries.set(static_cast<std::int64_t>(entries));
-        CacheTelemetry::get().bytes.set(static_cast<std::int64_t>(bytes));
+    std::error_code ec;
+    for (fs::directory_iterator it(cfg_.dir, ec), end; !ec && it != end; it.increment(ec)) {
+        if (!isArtifactName(it->path().filename().string())) continue;
+        std::error_code size_ec;
+        const std::uintmax_t size = it->file_size(size_ec);
+        if (size_ec) continue; // a directory squatting on the name, or gone
+        ++s.entries;
+        s.bytes += size;
     }
-    s.entries = scanned_entries_.load(std::memory_order_relaxed);
-    s.bytes = scanned_bytes_.load(std::memory_order_relaxed);
-    s.shards_used = shards_used_.load(std::memory_order_relaxed);
-    s.max_shard_entries = max_shard_entries_.load(std::memory_order_relaxed);
-    s.shard_skew = s.shards_used > 0 && s.entries > 0
-                       ? static_cast<double>(s.max_shard_entries) /
-                             (static_cast<double>(s.entries) / static_cast<double>(s.shards_used))
-                       : 0.0;
+    CacheTelemetry::get().entries.set(static_cast<std::int64_t>(s.entries));
+    CacheTelemetry::get().bytes.set(static_cast<std::int64_t>(s.bytes));
     return s;
-}
-
-std::size_t FlowCache::pinnedCount() const {
-    std::lock_guard<std::mutex> lock(pins_mu_);
-    return pins_.size();
-}
-
-// ---- JSON exports ------------------------------------------------------
-
-void CacheStats::writeJson(JsonWriter& w) const {
-    w.beginObject();
-    w.kv("hits", hits);
-    w.kv("misses", misses);
-    w.kv("stores", stores);
-    w.kv("evictions", evictions);
-    w.kv("gc_runs", gc_runs);
-    w.kv("compactions", compactions);
-    w.kv("entries", entries);
-    w.kv("bytes", bytes);
-    w.kv("shards_used", shards_used);
-    w.kv("max_shard_entries", max_shard_entries);
-    w.kv("shard_skew", shard_skew);
-    w.endObject();
-}
-
-void GcResult::writeJson(JsonWriter& w) const {
-    w.beginObject();
-    w.kv("scanned_entries", scanned_entries);
-    w.kv("scanned_bytes", scanned_bytes);
-    w.kv("evicted_entries", evicted_entries);
-    w.kv("evicted_bytes", evicted_bytes);
-    w.kv("swept_temps", swept_temps);
-    w.kv("live_entries", live_entries);
-    w.kv("live_bytes", live_bytes);
-    w.endObject();
-}
-
-CacheConfig makeCacheConfig(const cli::CacheFlags& flags) {
-    CacheConfig cfg;
-    cfg.dir = flags.dir;
-    cfg.enabled = !flags.no_cache;
-    cfg.max_bytes = flags.max_bytes;
-    cfg.max_entries = flags.max_entries;
-    cfg.max_age_s = flags.max_age_s;
-    cfg.gc_on_open = flags.gc_on_open;
-    return cfg;
 }
 
 } // namespace flh

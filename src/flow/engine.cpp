@@ -87,8 +87,7 @@ void runTask(TaskTable& tt, std::size_t design, std::size_t stage, FlowCache* ca
     const auto start = Clock::now();
     try {
         if (cache) {
-            // Single probe: get() returns the artifact or a miss — no
-            // contains()-then-load window for another process to evict in.
+            // Single probe: get() returns the artifact or a miss.
             obs::ScopedSpan probe_span(
                 obs::enabled() ? "cache-probe:" + input.name + "/" + def.name
                                : std::string(),

@@ -50,12 +50,10 @@ struct FlowOptions {
     unsigned threads = 1;
     /// Inner fault-simulation budget handed to each stage (FaultSimOptions).
     unsigned sim_threads = 1;
-    /// Result-cache configuration (directory, GC budgets, enabled flag) —
-    /// the single CacheConfig threaded engine -> service -> serve.
+    /// Result-cache configuration (directory, enabled flag).
     CacheConfig cache;
-    /// A warm, shared cache handle. When set it is used as-is (`cache` is
-    /// ignored); long-lived callers (FlowService, the drain loop) pass one
-    /// handle across many runFlow calls so pins and stats accumulate.
+    /// An open cache handle. When set it is used as-is (`cache` is
+    /// ignored), so the caller can read the handle's stats() after the run.
     std::shared_ptr<FlowCache> cache_handle;
 
     /// Unified policy view of the scheduler width. Floor of one task per
@@ -92,7 +90,7 @@ struct StageRecord {
 
 class RunReport {
 public:
-    RunReport() = default; ///< empty report (drain aggregation seeds one)
+    RunReport() = default; ///< empty report
     RunReport(std::string code_version, std::vector<StageRecord> records, unsigned threads,
               unsigned sim_threads);
 

@@ -199,10 +199,10 @@ DesignInput designInputFor(const std::string& name_or_path) {
     d.name = name_or_path;
     d.source = writeBenchString(nl);
     if (name_or_path != "s27") {
-        // Workload attributes mirror bench_util's powerConfigFor.
-        const double hold = findCircuit(name_or_path).ff_hold_prob;
-        d.attrs = "ff_hold_prob=" + formatNumber(hold) +
-                  ";pi_toggle_prob=" + formatNumber(0.3 * (1.0 - 0.8 * hold));
+        // The same workload knobs as bench_util's powerConfigFor.
+        const CircuitSpec& spec = findCircuit(name_or_path);
+        d.attrs = "ff_hold_prob=" + formatNumber(spec.ff_hold_prob) +
+                  ";pi_toggle_prob=" + formatNumber(spec.piToggleProb());
     }
     return d;
 }

@@ -38,6 +38,14 @@ struct CircuitSpec {
     /// idle more — this drives Section III's observation that on s13207 the
     /// FLH circuit dissipates less than the original.
     double ff_hold_prob = 0.0;
+
+    /// Per-cycle primary-input toggle probability of the circuit's workload
+    /// (PowerConfig::pi_toggle_prob): control-dominated circuits idle on the
+    /// input side too. The one source of this formula for the table benches
+    /// and the flow's design attributes, which spell it into cache keys.
+    [[nodiscard]] double piToggleProb() const noexcept {
+        return 0.3 * (1.0 - 0.8 * ff_hold_prob);
+    }
 };
 
 /// The genuine s27 benchmark (embedded verbatim).

@@ -26,7 +26,6 @@ using Clock = std::chrono::steady_clock;
 struct SpanEvent {
     std::string name;
     std::string cat;
-    std::string trace_id; ///< request attribution (args.trace_id); may be empty
     double ts_us = 0.0;
     double dur_us = 0.0;
     char ph = 'X';
@@ -58,8 +57,8 @@ Registry& registry() {
 }
 
 /// The steady-clock zero that nowUs() measures from, plus the wall clock
-/// captured at the same instant — the pair is the cross-process alignment
-/// anchor flh_obsmerge uses to put N traces on one timeline.
+/// captured at the same instant — the pair anchors every export's
+/// relative timestamps to real time.
 struct Epochs {
     Clock::time_point steady;
     double wall_us = 0.0;
@@ -287,24 +286,6 @@ void setThreadLabel(std::string label) {
     lane.label = std::move(label);
 }
 
-namespace {
-thread_local std::string t_trace_id;
-} // namespace
-
-void setTraceId(std::string id) {
-#if FLH_OBS_COMPILED_IN
-    // Deliberately ungated: trace context is identity propagation, not
-    // recording. The consumers (span record, logEvent) carry their own
-    // enable checks, and the event log's separate flag must still see
-    // request ids while full span tracing is off.
-    t_trace_id = std::move(id);
-#else
-    (void)id;
-#endif
-}
-
-const std::string& currentTraceId() noexcept { return t_trace_id; }
-
 double nowUs() noexcept {
     return std::chrono::duration<double, std::micro>(Clock::now() - processEpoch()).count();
 }
@@ -317,7 +298,6 @@ ScopedSpan::ScopedSpan(std::string name, std::string category) {
     if (!enabled()) return;
     name_ = std::move(name);
     cat_ = std::move(category);
-    trace_id_ = t_trace_id; // request attribution travels with the span
     start_us_ = nowUs();
 }
 
@@ -326,26 +306,14 @@ ScopedSpan::~ScopedSpan() {
     const double end_us = nowUs();
     Lane& lane = myLane();
     std::lock_guard<std::mutex> lock(lane.mu);
-    lane.events.push_back(SpanEvent{std::move(name_), std::move(cat_), std::move(trace_id_),
-                                    start_us_, end_us - start_us_});
-}
-
-ScopedTraceId::ScopedTraceId(std::string id) {
-    prev_ = t_trace_id;
-    active_ = true;
-    t_trace_id = std::move(id);
-}
-
-ScopedTraceId::~ScopedTraceId() {
-    if (active_) t_trace_id = std::move(prev_);
+    lane.events.push_back(
+        SpanEvent{std::move(name_), std::move(cat_), start_us_, end_us - start_us_});
 }
 
 #else
 
 ScopedSpan::ScopedSpan(std::string, std::string) {}
 ScopedSpan::~ScopedSpan() = default;
-ScopedTraceId::ScopedTraceId(std::string) {}
-ScopedTraceId::~ScopedTraceId() = default;
 
 #endif
 
@@ -380,7 +348,7 @@ std::string traceJson() {
     w.beginObject();
     w.kv("displayTimeUnit", "ms");
     // Extra top-level key (Chrome's viewer ignores unknown keys): the
-    // wall-clock anchor flh_obsmerge aligns multi-process traces with.
+    // wall-clock anchor that places the trace in real time.
     w.kv("wall_epoch_us", wallEpochUs());
     w.key("traceEvents");
     w.beginArray();
@@ -426,12 +394,6 @@ std::string traceJson() {
                 w.kv("dur", e.dur_us);
                 w.kv("pid", 1);
                 w.kv("tid", static_cast<std::int64_t>(lane->id));
-                if (!e.trace_id.empty()) {
-                    w.key("args");
-                    w.beginObject();
-                    w.kv("trace_id", e.trace_id);
-                    w.endObject();
-                }
             }
             w.endObject();
         }

@@ -116,8 +116,8 @@ private:
 ///
 /// record() follows the same near-zero disabled path as Counter/Gauge
 /// (one inlined relaxed load, no allocation); observe() is the
-/// always-on variant for stats that are double-booked next to gated
-/// telemetry, like serve's request-latency breakdown.
+/// always-on variant for stats that must be kept even while telemetry
+/// is disabled.
 class Histogram {
 public:
     static constexpr std::size_t kBucketCount = 1024;
@@ -159,7 +159,7 @@ private:
     std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
 };
 
-/// Bucket math, exposed so mergers (flh_obsmerge) and tests share the
+/// Bucket math, exposed so mergers and tests share the
 /// exact boundary rules. Buckets partition [0, inf): index 0 absorbs
 /// zero/negative/underflow, the last bucket absorbs overflow.
 [[nodiscard]] std::size_t histogramBucketIndex(double v) noexcept;
@@ -203,36 +203,6 @@ void recordCounterSample(std::string name, double value);
 /// lanes export as "thread-<lane>". No-op while disabled.
 void setThreadLabel(std::string label);
 
-/// Thread-local request trace id. While set, every span the calling
-/// thread records carries it into the trace export as args.trace_id —
-/// which is how flh_serve threads one request's identity through the
-/// shared worker lanes (a lane interleaves many requests; the trace id is
-/// what groups one request's spans back together). Empty clears. Unlike
-/// the recording hooks this is NOT gated on enabled(): trace context is
-/// identity propagation, and the event log (its own flag) must see
-/// request ids while full span tracing is off. The consumers are gated.
-void setTraceId(std::string id);
-
-/// The calling thread's current trace id ("" when none is set).
-[[nodiscard]] const std::string& currentTraceId() noexcept;
-
-/// RAII trace-id scope: sets on construction, restores the previous id on
-/// destruction — the per-request bracket for serve worker threads.
-class ScopedTraceId {
-public:
-    explicit ScopedTraceId(std::string id);
-    ~ScopedTraceId();
-
-    ScopedTraceId(const ScopedTraceId&) = delete;
-    ScopedTraceId& operator=(const ScopedTraceId&) = delete;
-
-private:
-#if FLH_OBS_COMPILED_IN
-    std::string prev_;
-    bool active_ = false;
-#endif
-};
-
 /// RAII span: construction stamps the start, destruction records the
 /// completed interval into the calling thread's lane. A span constructed
 /// while telemetry is disabled records nothing even if telemetry is
@@ -250,7 +220,6 @@ private:
 #if FLH_OBS_COMPILED_IN
     std::string name_;
     std::string cat_;
-    std::string trace_id_; ///< captured from the thread at construction
     double start_us_ = -1.0; ///< < 0: inactive (telemetry was disabled)
 #endif
 };
@@ -260,9 +229,8 @@ private:
 
 /// Wall clock (system_clock, microseconds since the Unix epoch) captured
 /// at the same instant the steady-clock epoch behind nowUs() was pinned.
-/// Cross-process mergers use it to shift each process's relative
-/// timestamps onto one shared timeline; traceJson(), the sampler's
-/// timeseries, and the event-log sink all embed it as wall_epoch_us.
+/// traceJson() and the sampler's timeseries embed it as wall_epoch_us so
+/// their relative timestamps can be placed in real time.
 [[nodiscard]] double wallEpochUs() noexcept;
 
 /// Number of span ("X") events currently recorded across all lanes

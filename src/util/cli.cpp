@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 
 namespace flh::cli {
 
@@ -46,45 +45,11 @@ bool CommonFlags::tryParse(ArgScan& scan) {
         threads_set = true;
     } else if (scan.is("--trace")) trace_path = scan.value();
     else if (scan.is("--metrics")) metrics_path = scan.value();
-    else if (scan.is("--events")) events_path = scan.value();
     else if (scan.is("--out")) out_flag = scan.value();
     else if (scan.is("--heartbeat")) heartbeat_s = scan.num<double>();
     else if (scan.is("--quiet")) quiet = true;
     else return false;
     return true;
-}
-
-bool CacheFlags::tryParse(ArgScan& scan) {
-    if (scan.is("--cache-dir")) dir = scan.value();
-    else if (scan.is("--cache-max-bytes")) {
-        const std::string flag = scan.arg();
-        max_bytes = parseByteSize(scan, flag, scan.value());
-    }
-    else if (scan.is("--cache-max-entries")) max_entries = scan.num<std::uint64_t>();
-    else if (scan.is("--cache-max-age")) max_age_s = scan.num<double>();
-    else if (scan.is("--cache-gc")) gc_on_open = true;
-    else if (scan.is("--no-cache")) no_cache = true;
-    else return false;
-    return true;
-}
-
-std::uint64_t parseByteSize(const ArgScan& scan, const std::string& flag,
-                            const std::string& s) {
-    std::string digits = s;
-    std::uint64_t mult = 1;
-    if (!digits.empty()) {
-        switch (digits.back()) {
-        case 'k': case 'K': mult = 1ull << 10; digits.pop_back(); break;
-        case 'm': case 'M': mult = 1ull << 20; digits.pop_back(); break;
-        case 'g': case 'G': mult = 1ull << 30; digits.pop_back(); break;
-        default: break;
-        }
-    }
-    if (digits.empty()) scan.usageError("bad value for " + flag + ": '" + s + "'");
-    const std::uint64_t n = scan.parse<std::uint64_t>(flag, digits);
-    if (mult > 1 && n > std::numeric_limits<std::uint64_t>::max() / mult)
-        scan.usageError("value overflows for " + flag + ": '" + s + "'");
-    return n * mult;
 }
 
 void writeFileOrDie(const std::string& tool, const std::string& path,

@@ -1,7 +1,7 @@
 // Shared command-line machinery for the flh_* CLIs.
 //
-// Every driver binary (flh_flow, flh_fuzz, flh_benchdiff, flh_serve,
-// flh_client) used to hand-roll the same loop: a `next()` lambda guarding
+// Every driver binary (flh_flow, flh_fuzz, flh_benchdiff) used to
+// hand-roll the same loop: a `next()` lambda guarding
 // missing values, a from_chars parseNum with a usage error, `--help`
 // handling, and the common --threads/--trace/--metrics/--out/--heartbeat/
 // --quiet flag block. ArgScan + CommonFlags are that loop extracted once.
@@ -9,12 +9,12 @@
 // callers hand CommonFlags::trace_path etc. to the obs layer themselves
 // (flh_util sits below flh_obs in the link order).
 //
-//   ArgScan scan(argc, argv, "flh_serve", kUsage);
+//   ArgScan scan(argc, argv, "flh_flow", kUsage);
 //   CommonFlags common;
 //   while (scan.next()) {
 //       if (common.tryParse(scan)) continue;
-//       if (scan.is("--socket")) socket_path = scan.value();
-//       else if (scan.is("--port")) port = scan.num<unsigned>();
+//       if (scan.is("--circuits")) circuits = scan.list();
+//       else if (scan.is("--seed")) seed = scan.num<std::uint64_t>();
 //       else scan.unknownOption();
 //   }
 #pragma once
@@ -87,7 +87,6 @@ private:
 ///   --threads N   worker threads (0 = one per hardware thread)
 ///   --trace FILE  Chrome trace_event export path
 ///   --metrics FILE telemetry metrics export path
-///   --events FILE structured JSONL event-log sink path
 ///   --out DIR     bench-export directory (overrides FLH_BENCH_OUT)
 ///   --heartbeat S rate-limited stderr progress line cadence
 ///   --quiet       suppress console output
@@ -100,7 +99,6 @@ struct CommonFlags {
     bool threads_set = false; ///< --threads appeared (for override defaults)
     std::string trace_path;
     std::string metrics_path;
-    std::string events_path;
     std::string out_flag;
     double heartbeat_s = 0.0;
     bool quiet = false;
@@ -114,32 +112,6 @@ struct CommonFlags {
         return !trace_path.empty() || !metrics_path.empty() || heartbeat_s > 0.0;
     }
 };
-
-/// The cache flag block shared by flh_flow and flh_serve (mapped onto the
-/// flow layer's CacheConfig by flh::makeCacheConfig — this struct stays
-/// plain so flh_util keeps sitting below flh_flow in the link order):
-///   --cache-dir DIR        result cache directory
-///   --cache-max-bytes N    GC byte budget (suffixes k/m/g, binary)
-///   --cache-max-entries N  GC entry budget
-///   --cache-max-age SEC    GC age bound (seconds)
-///   --cache-gc             run a GC pass when the cache opens
-///   --no-cache             disable the cache entirely
-struct CacheFlags {
-    std::string dir = ".flowcache";
-    std::uint64_t max_bytes = 0;
-    std::uint64_t max_entries = 0;
-    double max_age_s = 0.0;
-    bool gc_on_open = false;
-    bool no_cache = false;
-
-    /// Consume a matching flag; false if the current flag is not ours.
-    bool tryParse(ArgScan& scan);
-};
-
-/// Parse a byte size with an optional binary suffix: "512", "64k", "8M",
-/// "2g" (case-insensitive). usageError via `scan` on anything else.
-[[nodiscard]] std::uint64_t parseByteSize(const ArgScan& scan, const std::string& flag,
-                                          const std::string& s);
 
 /// Write `bytes` to `path`, exiting 1 with a "tool: cannot write" line on
 /// failure — the shared writeFile every CLI duplicated.

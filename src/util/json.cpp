@@ -136,7 +136,7 @@ namespace {
 
 /// Recursive-descent reader over the subset our writer emits (which is
 /// plain JSON, so arbitrary conforming documents parse too). Hardened for
-/// untrusted input (the serve wire protocol feeds it raw client bytes):
+/// untrusted input:
 /// nesting depth, string length, and number length are bounded by
 /// JsonLimits, strings must be valid UTF-8 with no raw control bytes, and
 /// numbers follow the strict JSON grammar through std::from_chars — no
@@ -249,8 +249,8 @@ private:
     /// Validate (and copy) one non-ASCII UTF-8 sequence starting at the
     /// current byte. Rejects truncated sequences, bare continuation bytes,
     /// overlong forms' lead bytes (0xc0/0xc1), and anything past U+10FFFF
-    /// (lead bytes above 0xf4) — enough to keep the serve protocol from
-    /// echoing malformed bytes back into otherwise-valid JSON responses.
+    /// (lead bytes above 0xf4) — enough to keep a parse-then-rewrite round
+    /// trip from echoing malformed bytes into otherwise-valid JSON.
     void consumeUtf8Tail(std::string& out, unsigned char lead) {
         std::size_t extra = 0;
         if (lead >= 0xc2 && lead <= 0xdf) extra = 1;

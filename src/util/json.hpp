@@ -110,8 +110,8 @@ struct JsonValue {
 
 /// Resource bounds for parseJson. The defaults are generous enough for
 /// every export this repository writes (bench envelopes, traces,
-/// time-series); the serve wire protocol passes tighter limits because its
-/// input is untrusted. A violated limit throws std::runtime_error with the
+/// time-series); callers parsing untrusted input can pass tighter limits.
+/// A violated limit throws std::runtime_error with the
 /// same byte/line/column positioning as a syntax error.
 struct JsonLimits {
     std::size_t max_depth = 256;             ///< nesting depth (arrays + objects)

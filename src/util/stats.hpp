@@ -1,9 +1,8 @@
 // Shared order-statistics helpers.
 //
 // One implementation of the percentile/median math used everywhere a
-// tool reports latency or repetition statistics: flh_client's latency
-// percentiles, obs::Histogram summaries, and benchio's RepStats
-// quartiles. Keeping a single copy makes the rounding rules identical
+// tool reports latency or repetition statistics: obs::Histogram
+// summaries and benchio's RepStats quartiles. Keeping a single copy makes the rounding rules identical
 // across reports, so a p95 printed by one tool is comparable
 // digit-for-digit with a p95 printed by another.
 #pragma once

@@ -6,7 +6,6 @@
 #include "obs/telemetry.hpp"
 
 #include "flow/engine.hpp"
-#include "obs/eventlog.hpp"
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -370,8 +367,8 @@ TEST_F(ObsHistogram, ConcurrentRecordersLoseNoUpdates) {
 }
 
 TEST_F(ObsHistogram, MergeByBucketAdditionMatchesCombinedHistogram) {
-    // The fleet merger adds bucket vectors element-wise and re-derives
-    // percentiles; that must agree with one histogram that saw everything.
+    // Merging adds bucket vectors element-wise and re-derives percentiles;
+    // that must agree with one histogram that saw everything.
     obs::setEnabled(true);
     obs::Histogram& a = obs::histogram("obs_test.hist.merge_a");
     obs::Histogram& b = obs::histogram("obs_test.hist.merge_b");
@@ -421,184 +418,8 @@ TEST_F(ObsExport, TraceJsonCarriesWallClockAnchor) {
     obs::setEnabled(true);
     { obs::ScopedSpan s("anchored"); }
     const JsonValue trace = parseJson(obs::traceJson());
-    // The wall anchor lets a merger align N processes' steady clocks.
+    // The wall anchor places the trace's steady-clock timestamps in real time.
     EXPECT_GT(trace.at("wall_epoch_us").num, 1e15); // after ~2001 in us
-}
-
-// ---------------------------------------------------------------------------
-// Trace-context propagation.
-
-using ObsTraceId = ObsFixture;
-
-TEST_F(ObsTraceId, ScopedTraceIdNestsAndRestores) {
-    EXPECT_EQ(obs::currentTraceId(), "");
-    {
-        obs::ScopedTraceId outer("req-7");
-        EXPECT_EQ(obs::currentTraceId(), "req-7");
-        {
-            obs::ScopedTraceId inner("req-7/sub-1");
-            EXPECT_EQ(obs::currentTraceId(), "req-7/sub-1");
-        }
-        EXPECT_EQ(obs::currentTraceId(), "req-7");
-    }
-    EXPECT_EQ(obs::currentTraceId(), "");
-}
-
-// ---------------------------------------------------------------------------
-// Structured event log.
-
-/// Event-log tests reset the separate event-log state (own enable flag,
-/// ring, rate-limit buckets, drop counters) on both sides.
-struct EventLogFixture : ObsFixture {
-    void SetUp() override {
-        ObsFixture::SetUp();
-        obs::setEventLogEnabled(false);
-        obs::configureEventLog(obs::EventLogConfig{}); // also clears the ring
-        obs::resetEventLog();
-    }
-    void TearDown() override {
-        obs::setEventLogEnabled(false);
-        obs::closeEventSink(); // no-op when no sink is open
-        obs::configureEventLog(obs::EventLogConfig{});
-        obs::resetEventLog();
-        ObsFixture::TearDown();
-    }
-};
-
-using ObsEvents = EventLogFixture;
-
-TEST_F(ObsEvents, DisabledLogEventRecordsNothing) {
-    ASSERT_FALSE(obs::eventLogEnabled());
-    obs::logEvent(obs::EventLevel::Warn, "test", "should_vanish", {{"k", 1}});
-    const obs::EventLogStats st = obs::eventLogStats();
-    EXPECT_EQ(st.emitted, 0u);
-    EXPECT_EQ(st.dropped_rate_limited, 0u);
-    const JsonValue doc = parseJson(obs::eventsJson());
-    EXPECT_TRUE(doc.at("events").arr.empty());
-}
-
-TEST_F(ObsEvents, EventsLandInRingWithFieldsLevelAndTraceId) {
-    obs::setEventLogEnabled(true);
-    {
-        obs::ScopedTraceId tid("req-42");
-        obs::logEvent(obs::EventLevel::Info, "serve", "reject",
-                      {{"reason", "queue_full"}, {"depth", 128}});
-    }
-    obs::logEvent(obs::EventLevel::Error, "cache", "gc_evict", {{"bytes", 4096.0}});
-
-    const JsonValue doc = parseJson(obs::eventsJson());
-    EXPECT_EQ(doc.at("schema").str, "flh.obs.events/1");
-    ASSERT_EQ(doc.at("events").arr.size(), 2u);
-    const JsonValue& first = doc.at("events").arr[0];
-    EXPECT_EQ(first.at("component").str, "serve");
-    EXPECT_EQ(first.at("event").str, "reject");
-    EXPECT_EQ(first.at("level").str, "info");
-    EXPECT_EQ(first.at("trace_id").str, "req-42");
-    EXPECT_EQ(first.at("fields").at("reason").str, "queue_full");
-    EXPECT_EQ(first.at("fields").at("depth").num, 128.0);
-    const JsonValue& second = doc.at("events").arr[1];
-    EXPECT_EQ(second.at("level").str, "error");
-    EXPECT_EQ(second.obj.count("trace_id"), 0u); // no ambient trace id
-    EXPECT_GE(second.at("ts_us").num, first.at("ts_us").num);
-}
-
-TEST_F(ObsEvents, RingEvictsOldestAndCountsEvictions) {
-    obs::EventLogConfig cfg;
-    cfg.ring_capacity = 4;
-    cfg.tokens_per_sec = 1e9; // rate limiting out of the way
-    cfg.burst = 1e9;
-    obs::configureEventLog(cfg);
-    obs::setEventLogEnabled(true);
-
-    for (int i = 0; i < 10; ++i)
-        obs::logEvent(obs::EventLevel::Info, "test", "e" + std::to_string(i));
-
-    const obs::EventLogStats st = obs::eventLogStats();
-    EXPECT_EQ(st.emitted, 10u);
-    EXPECT_EQ(st.evicted_ring, 6u);
-    const JsonValue doc = parseJson(obs::eventsJson());
-    ASSERT_EQ(doc.at("events").arr.size(), 4u);
-    // Oldest-first snapshot of the surviving tail.
-    EXPECT_EQ(doc.at("events").arr[0].at("event").str, "e6");
-    EXPECT_EQ(doc.at("events").arr[3].at("event").str, "e9");
-}
-
-TEST_F(ObsEvents, TokenBucketDropsBurstsPerComponentAndLevel) {
-    obs::EventLogConfig cfg;
-    cfg.tokens_per_sec = 0.0; // no refill: burst is the whole budget
-    cfg.burst = 3.0;
-    obs::configureEventLog(cfg);
-    obs::setEventLogEnabled(true);
-
-    for (int i = 0; i < 8; ++i)
-        obs::logEvent(obs::EventLevel::Info, "noisy", "spam");
-    // A different (component, level) pair has its own bucket.
-    obs::logEvent(obs::EventLevel::Warn, "noisy", "still_heard");
-
-    const obs::EventLogStats st = obs::eventLogStats();
-    EXPECT_EQ(st.emitted, 4u);
-    EXPECT_EQ(st.dropped_rate_limited, 5u);
-    const JsonValue doc = parseJson(obs::eventsJson());
-    EXPECT_EQ(doc.at("dropped_rate_limited").num, 5.0);
-    ASSERT_EQ(doc.at("events").arr.size(), 4u);
-    EXPECT_EQ(doc.at("events").arr[3].at("event").str, "still_heard");
-}
-
-TEST_F(ObsEvents, FileSinkWritesHeaderEventsAndCloseTrailer) {
-    const std::string path = ::testing::TempDir() + "flh_obs_events_test.jsonl";
-    ASSERT_TRUE(obs::openEventSink(path));
-    obs::setEventLogEnabled(true);
-    obs::logEvent(obs::EventLevel::Info, "drain", "claim", {{"design", "s1423"}});
-    obs::logEvent(obs::EventLevel::Debug, "drain", "claim_race", {{"design", "s27"}});
-    obs::closeEventSink();
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);)
-        if (!line.empty()) lines.push_back(line);
-    ASSERT_EQ(lines.size(), 4u); // header + 2 events + trailer
-
-    const JsonValue header = parseJson(lines[0]);
-    EXPECT_EQ(header.at("schema").str, "flh.obs.events/1");
-    EXPECT_GT(header.at("wall_epoch_us").num, 1e15);
-
-    const JsonValue ev = parseJson(lines[1]);
-    EXPECT_EQ(ev.at("component").str, "drain");
-    EXPECT_EQ(ev.at("event").str, "claim");
-    EXPECT_EQ(ev.at("fields").at("design").str, "s1423");
-
-    const JsonValue trailer = parseJson(lines[3]);
-    EXPECT_EQ(trailer.at("event").str, "sink_close");
-    EXPECT_EQ(trailer.at("fields").at("emitted").num, 2.0);
-    EXPECT_EQ(trailer.at("fields").at("dropped_rate_limited").num, 0.0);
-    std::remove(path.c_str());
-}
-
-TEST_F(ObsTraceId, SpansExportTheActiveTraceId) {
-    obs::setEnabled(true);
-    {
-        obs::ScopedTraceId tid("flhc-9.c0.r1/r-0001");
-        obs::ScopedSpan s("traced-work");
-    }
-    { obs::ScopedSpan s("untraced-work"); }
-
-    const JsonValue trace = parseJson(obs::traceJson());
-    bool saw_traced = false, saw_untraced = false;
-    for (const JsonValue& e : completeEvents(trace)) {
-        if (e.at("name").str == "traced-work") {
-            saw_traced = true;
-            EXPECT_EQ(e.at("args").at("trace_id").str, "flhc-9.c0.r1/r-0001");
-        } else if (e.at("name").str == "untraced-work") {
-            saw_untraced = true;
-            const auto args = e.obj.find("args");
-            if (args != e.obj.end()) {
-                EXPECT_EQ(args->second.obj.count("trace_id"), 0u);
-            }
-        }
-    }
-    EXPECT_TRUE(saw_traced);
-    EXPECT_TRUE(saw_untraced);
 }
 
 } // namespace
