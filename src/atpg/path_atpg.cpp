@@ -47,12 +47,14 @@ PathAtpgResult generatePathDelayTests(const Netlist& nl, std::span<const DelayPa
                 tp.v2 = v2f;
 
                 const Logic v1_value = negate(values[0]);
+                bool justified = false;
                 switch (style) {
                     case TestApplication::EnhancedScan: {
                         podem.clearFrozen();
                         Pattern v1;
                         if (podem.justify(path.nets[0], v1_value, v1) != PodemOutcome::Success)
                             break;
+                        justified = true;
                         fillRandom(v1, rng);
                         tp.v1 = std::move(v1);
                         break;
@@ -64,6 +66,7 @@ PathAtpgResult generatePathDelayTests(const Netlist& nl, std::span<const DelayPa
                         Pattern v1;
                         if (podem.justify(path.nets[0], v1_value, v1) != PodemOutcome::Success)
                             break;
+                        justified = true;
                         fillRandom(v1, rng);
                         // The pair must be structurally exact.
                         tp = makePair(nl, style, v1, v2f.pis,
@@ -78,12 +81,13 @@ PathAtpgResult generatePathDelayTests(const Netlist& nl, std::span<const DelayPa
                         podem.clearFrozen();
                         Pattern v1;
                         if (podem.justifyAll(v1_obj, v1) != PodemOutcome::Success) break;
+                        justified = true;
                         fillRandom(v1, rng);
                         tp = makePair(nl, style, v1, v2f.pis);
                         break;
                     }
                 }
-                if (tp.v1.state.empty()) break; // justification failed
+                if (!justified) break;
                 if (testsPath(nl, fault, tp)) {
                     res.tests.push_back({fault, tp});
                     ++res.tested;

@@ -1,15 +1,22 @@
 #include "atpg/podem.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
 namespace flh {
 
-Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl), fsim_(nl) {
+Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl) {
     for (const NetId pi : nl.pis()) sources_.push_back(pi);
     for (const GateId ff : nl.flipFlops()) sources_.push_back(nl.gate(ff).output);
     frozen_.assign(nl.netCount(), Logic::X);
     assigned_.assign(nl.netCount(), Logic::X);
+    topo_pos_.assign(nl.gateCount(), 0);
+    const auto& topo = nl.topoOrder();
+    for (std::size_t i = 0; i < topo.size(); ++i) topo_pos_[topo[i]] = i;
+    is_obs_.assign(nl.netCount(), 0);
+    for (const NetId po : nl.pos()) is_obs_[po] = 1;
+    for (const GateId ff : nl.flipFlops()) is_obs_[nl.gate(ff).inputs[0]] = 1;
+    in_cone_.assign(nl.gateCount(), 0);
 }
 
 void Podem::freeze(NetId net, Logic value) {
@@ -26,37 +33,31 @@ bool Podem::isSource(NetId n) const {
 
 void Podem::resetState() {
     sim_.reset();
-    fsim_.reset();
     assigned_.assign(nl_->netCount(), Logic::X);
     stack_.clear();
     backtracks_ = 0;
-    if (fault_active_) fsim_.injectFault(fault_);
+    if (fault_active_) sim_.injectFault(fault_, 0b10); // slot 1 = faulty machine
     for (const NetId s : sources_) {
         if (frozen_[s] != Logic::X) {
             assigned_[s] = frozen_[s];
             sim_.setNet(s, PV::all(frozen_[s]));
-            fsim_.setNet(s, PV::all(frozen_[s]));
         }
     }
     sim_.propagate();
-    fsim_.propagate();
 }
 
 void Podem::assignSource(NetId source, Logic v) {
     assigned_[source] = v;
     sim_.setNet(source, PV::all(v));
-    fsim_.setNet(source, PV::all(v));
     sim_.propagate();
-    fsim_.propagate();
 }
 
 Logic Podem::goodValue(NetId n) const { return sim_.get(n).get(0); }
-Logic Podem::faultyValue(NetId n) const { return fsim_.get(n).get(0); }
 
 bool Podem::hasD(NetId n) const {
-    const Logic g = goodValue(n);
-    const Logic f = faultyValue(n);
-    return g != Logic::X && f != Logic::X && g != f;
+    // Slots 0 (good) and 1 (faulty) both decided and different.
+    const PV p = sim_.get(n);
+    return (p.x & 0b11) == 0 && ((p.v ^ (p.v >> 1)) & 1) != 0;
 }
 
 std::optional<std::pair<NetId, Logic>> Podem::backtrace(NetId net, Logic v) {
@@ -101,35 +102,67 @@ std::optional<std::pair<NetId, Logic>> Podem::backtrace(NetId net, Logic v) {
     return std::nullopt;
 }
 
-std::vector<GateId> Podem::dFrontier() const {
-    std::vector<GateId> out;
-    for (const GateId g : nl_->topoOrder()) {
+void Podem::buildCone(const FaultSite& fault) {
+    cone_gates_.clear();
+    cone_obs_.clear();
+    std::vector<NetId> work;
+    const auto visitGate = [&](GateId g) {
+        if (isSequential(nl_->gate(g).fn) || in_cone_[g]) return;
+        in_cone_[g] = 1;
+        cone_gates_.push_back(g);
+        work.push_back(nl_->gate(g).output);
+    };
+    const auto visitNet = [&](NetId n) {
+        if (is_obs_[n]) cone_obs_.push_back(n);
+        for (const PinRef& pr : nl_->fanout(n)) visitGate(pr.gate);
+    };
+    // A pin fault differs only from its receiving gate onward; the input net
+    // itself never carries D.
+    if (fault.isPinFault())
+        visitGate(fault.gate);
+    else
+        visitNet(fault.net);
+    while (!work.empty()) {
+        const NetId n = work.back();
+        work.pop_back();
+        visitNet(n);
+    }
+    for (const GateId g : cone_gates_) in_cone_[g] = 0;
+    std::sort(cone_gates_.begin(), cone_gates_.end(),
+              [&](GateId a, GateId b) { return topo_pos_[a] < topo_pos_[b]; });
+}
+
+std::optional<std::pair<NetId, Logic>> Podem::frontierObjective() const {
+    for (const GateId g : cone_gates_) {
         const Gate& gate = nl_->gate(g);
-        if (goodValue(gate.output) != Logic::X && faultyValue(gate.output) != Logic::X &&
-            goodValue(gate.output) == faultyValue(gate.output))
-            continue;
-        if (hasD(gate.output)) continue; // already propagated past this gate
+        // Both slots decided: the difference died here or already passed.
+        if ((sim_.get(gate.output).x & 0b11) == 0) continue;
         bool d_in = false;
         for (const NetId in : gate.inputs)
             if (hasD(in)) {
                 d_in = true;
                 break;
             }
-        // A pin fault creates its difference *inside* the receiving gate:
-        // the input net itself never carries D.
-        if (!d_in && fault_active_ && fault_.isPinFault() && fault_.gate == g &&
+        // A pin fault creates its difference *inside* the receiving gate.
+        if (!d_in && fault_.isPinFault() && fault_.gate == g &&
             goodValue(fault_.net) != Logic::X)
             d_in = true;
-        if (d_in) out.push_back(g);
+        if (!d_in) continue;
+        // Set an X input to its non-controlling-ish value (backtrace fixes
+        // bad guesses).
+        for (const NetId in : gate.inputs) {
+            if (goodValue(in) != Logic::X) continue;
+            const Logic nc =
+                (gate.fn == CellFn::And || gate.fn == CellFn::Nand) ? Logic::One : Logic::Zero;
+            return std::make_pair(in, nc);
+        }
     }
-    return out;
+    return std::nullopt; // frontier empty or saturated
 }
 
 bool Podem::faultObserved() const {
-    for (const NetId po : nl_->pos())
-        if (hasD(po)) return true;
-    for (const GateId ff : nl_->flipFlops())
-        if (hasD(nl_->gate(ff).inputs[0])) return true;
+    for (const NetId n : cone_obs_)
+        if (hasD(n)) return true;
     return false;
 }
 
@@ -144,13 +177,9 @@ Pattern Podem::extractPattern() const {
 
 template <typename GoalFn, typename ObjectiveFn>
 PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Pattern& out) {
-    const auto unassign = [&](NetId s) {
-        assigned_[s] = Logic::X;
-        sim_.setNet(s, PV::all(Logic::X));
-        fsim_.setNet(s, PV::all(Logic::X));
-        sim_.propagate();
-        fsim_.propagate();
-    };
+    // Un-assignments only schedule events; the flipped decision's
+    // assignSource propagates them all at once. An emptied stack needs no
+    // propagation: the search is over and the next call resets the state.
     const auto backtrack = [&]() -> bool {
         ++backtracks_;
         while (!stack_.empty()) {
@@ -161,7 +190,8 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
                 assignSource(d.source, d.value);
                 return true;
             }
-            unassign(d.source);
+            assigned_[d.source] = Logic::X;
+            sim_.setNet(d.source, PV::all(Logic::X));
             stack_.pop_back();
         }
         return false;
@@ -200,6 +230,7 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
 PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
     fault_active_ = true;
     fault_ = fault;
+    buildCone(fault);
     resetState();
 
     const Logic activate = fault.stuck_at_one ? Logic::Zero : Logic::One;
@@ -211,22 +242,9 @@ PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
         return 0;
     };
     const auto next_objective = [&]() -> std::optional<std::pair<NetId, Logic>> {
-        // 1) Activate the fault.
+        // 1) Activate the fault; 2) advance the D-frontier.
         if (goodValue(fault.net) == Logic::X) return std::make_pair(fault.net, activate);
-        // 2) Advance the D-frontier: set an X input of a frontier gate to
-        //    its non-controlling-ish value (backtrace fixes bad guesses).
-        const auto frontier = dFrontier();
-        for (const GateId g : frontier) {
-            const Gate& gate = nl_->gate(g);
-            for (const NetId in : gate.inputs) {
-                if (goodValue(in) != Logic::X) continue;
-                const Logic nc = (gate.fn == CellFn::And || gate.fn == CellFn::Nand)
-                                     ? Logic::One
-                                     : Logic::Zero;
-                return std::make_pair(in, nc);
-            }
-        }
-        return std::nullopt; // frontier empty or saturated
+        return frontierObjective();
     };
 
     const PodemOutcome r = decisionLoop(goal, next_objective, out);

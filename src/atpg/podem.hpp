@@ -4,24 +4,38 @@
 // primary inputs and the flip-flop outputs (scan state); the observation
 // points are the primary outputs and the flip-flop D inputs.
 //
-// The implementation runs good and faulty machines side by side in two
-// pattern slots of the event-driven simulator, which gives the classical
-// D-algebra for free: a net carries "D" when the two slots hold definite,
-// different values. Backtracing uses a generic gate-agnostic objective rule
-// (try each unassigned input with each value; prefer the one that forces the
+// Good and faulty machines run side by side in two pattern slots of one
+// event-driven simulator: slot 0 is fault-free and the fault is injected
+// into slot 1 only (PatternSim::injectFault with a slot mask). That gives
+// the classical D-algebra for free — a net carries "D" when the two slots
+// hold definite, different values — and each decision costs a single
+// propagation. justify/justifyAll inject no fault, so slot 1 simply mirrors
+// slot 0. Backtracing uses a generic gate-agnostic objective rule (try each
+// unassigned input with each value; prefer the one that forces the
 // objective), so complex cells (AOI/OAI/MUX) need no special cases.
+//
+// Only the fault's transitive fanout cone can ever differ between the two
+// slots, so generate() collects that cone once — its gates in topological
+// order, stopping at flip-flops, plus the observation points inside it —
+// and the D-frontier and observation checks scan only those lists. The
+// first frontier gate is the same one a whole-netlist scan would find.
+// Backtracking un-assigns every popped decision and then propagates once,
+// with the flipped value: combinational steady state depends only on the
+// source values, so every decision point sees the same state as it would
+// after one propagation per un-assignment.
 //
 // Sources can be frozen to fixed values before generation — that is how the
 // skewed-load ATPG constrains V1's state to be the shifted V2 state, and how
 // broadside justification pins the required next-state bits.
 //
-// Implication deliberately stays on the one-word PatternSim rather than the
-// word-packed PackedSim: PODEM implies a single candidate assignment at a
-// time (two slots of one word), so wider planes would only add memory
-// traffic. Grading the generated tests, by contrast, goes through the
-// packed engine via runStuckAtFaultSim / runTransitionFaultSim, whose
-// width clamp (ceil(n_patterns / 64)) keeps the one-test-at-a-time calls
-// on a single word automatically.
+// Implication stays on the one-word PatternSim rather than the word-packed
+// PackedSim: PODEM implies a single candidate assignment at a time (two
+// slots of one word), so wider planes would only add memory traffic. It
+// moves together with the other PatternSim users when ROADMAP item 4
+// merges the two engines. Grading the generated tests, by contrast, goes
+// through the packed engine via runStuckAtFaultSim / runTransitionFaultSim,
+// whose width clamp (ceil(n_patterns / 64)) keeps the one-test-at-a-time
+// calls on a single word automatically.
 #pragma once
 
 #include "fault/fault_sim.hpp"
@@ -33,7 +47,6 @@ namespace flh {
 
 struct PodemConfig {
     int max_backtracks = 300;
-    std::uint64_t seed = 1; ///< decision-ordering randomization
 };
 
 /// Outcome classification for one generation attempt.
@@ -70,15 +83,18 @@ private:
     void resetState();
     void assignSource(NetId source, Logic v);
     [[nodiscard]] Logic goodValue(NetId n) const;
-    [[nodiscard]] Logic faultyValue(NetId n) const;
     [[nodiscard]] bool hasD(NetId n) const;
     [[nodiscard]] bool isSource(NetId n) const;
 
     /// Walk an objective back to an unassigned, unfrozen source.
     [[nodiscard]] std::optional<std::pair<NetId, Logic>> backtrace(NetId net, Logic v);
 
-    /// Gates with D on an input and X on the output.
-    [[nodiscard]] std::vector<GateId> dFrontier() const;
+    /// Collect the fault's fanout cone into cone_gates_ / cone_obs_.
+    void buildCone(const FaultSite& fault);
+
+    /// Objective advancing the first D-frontier gate (D on an input, no
+    /// decided output) that still has an X input; nullopt if none does.
+    [[nodiscard]] std::optional<std::pair<NetId, Logic>> frontierObjective() const;
 
     /// True if some observation point carries D.
     [[nodiscard]] bool faultObserved() const;
@@ -91,9 +107,13 @@ private:
 
     const Netlist* nl_;
     PodemConfig cfg_;
-    PatternSim sim_;  ///< good machine
-    PatternSim fsim_; ///< faulty machine (fault injected during generate)
+    PatternSim sim_; ///< slot 0 good machine, slot 1 faulty machine
     std::vector<NetId> sources_;
+    std::vector<std::size_t> topo_pos_; ///< per gate: index in topoOrder()
+    std::vector<std::uint8_t> is_obs_;  ///< per net: PO or FF D input
+    std::vector<std::uint8_t> in_cone_; ///< per gate: mark during buildCone
+    std::vector<GateId> cone_gates_;    ///< fault's fanout cone, topological
+    std::vector<NetId> cone_obs_;       ///< observation points in the cone
     std::vector<Logic> frozen_;   ///< per net (X = not frozen)
     std::vector<Logic> assigned_; ///< per net (X = unassigned), sources only
     std::vector<Decision> stack_;

@@ -97,18 +97,44 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
             continue;
         }
 
+        // Enhanced-scan and broadside V1 searches do not depend on the
+        // random fill, so each runs once and every attempt re-fills a copy;
+        // a failure would repeat on every retry. Skewed load re-justifies
+        // per attempt: its frozen state comes from the filled V2.
+        Pattern v1_base;
+        if (style != TestApplication::SkewedLoad && cfg.justify_retries > 0) {
+            podem.clearFrozen();
+            if (style == TestApplication::EnhancedScan) {
+                // V1: independently justify the initial value at the site.
+                if (podem.justify(tf.net, tf.initialValue(), v1_base) != PodemOutcome::Success)
+                    continue;
+            } else {
+                // V1 must drive the circuit into V2's required state:
+                // justify every specified bit of V2.state at the FF D
+                // inputs — the sequential justification that makes
+                // broadside coverage poor.
+                std::vector<std::pair<NetId, Logic>> objectives;
+                for (std::size_t i = 0; i < ffs.size(); ++i) {
+                    if (v2.state[i] == Logic::X) continue;
+                    objectives.push_back({nl.gate(ffs[i]).inputs[0], v2.state[i]});
+                }
+                // The initial value at the site must hold in V1 as well.
+                objectives.push_back({tf.net, tf.initialValue()});
+                if (podem.justifyAll(objectives, v1_base) != PodemOutcome::Success) {
+                    // One failure per attempt, as if each had re-run it.
+                    res.justify_failures += static_cast<std::size_t>(cfg.justify_retries);
+                    continue;
+                }
+            }
+        }
+
         bool added = false;
         for (int attempt = 0; attempt < cfg.justify_retries && !added; ++attempt) {
             switch (style) {
                 case TestApplication::EnhancedScan: {
-                    // V1: independently justify the initial value at the site.
-                    Pattern v1;
-                    podem.clearFrozen();
-                    if (podem.justify(tf.net, tf.initialValue(), v1) != PodemOutcome::Success)
-                        break;
-                    fillRandom(v1, rng);
                     TwoPattern tp;
-                    tp.v1 = std::move(v1);
+                    tp.v1 = v1_base;
+                    fillRandom(tp.v1, rng);
                     tp.v2 = v2;
                     fillRandom(tp.v2, rng);
                     added = tryAddTest(fi, tp);
@@ -137,23 +163,7 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
                     break;
                 }
                 case TestApplication::Broadside: {
-                    // V1 must drive the circuit into V2's required state:
-                    // justify every specified bit of V2.state at the FF D
-                    // inputs — the sequential justification that makes
-                    // broadside coverage poor.
-                    std::vector<std::pair<NetId, Logic>> objectives;
-                    for (std::size_t i = 0; i < ffs.size(); ++i) {
-                        if (v2.state[i] == Logic::X) continue;
-                        objectives.push_back({nl.gate(ffs[i]).inputs[0], v2.state[i]});
-                    }
-                    // The initial value at the site must hold in V1 as well.
-                    objectives.push_back({tf.net, tf.initialValue()});
-                    Pattern v1;
-                    podem.clearFrozen();
-                    if (podem.justifyAll(objectives, v1) != PodemOutcome::Success) {
-                        ++res.justify_failures;
-                        break;
-                    }
+                    Pattern v1 = v1_base;
                     fillRandom(v1, rng);
                     TwoPattern tp = makePair(nl, style, v1, [&] {
                         Pattern v2f = v2;
@@ -165,7 +175,6 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
                 }
             }
         }
-        (void)added;
     }
     static obs::Counter& c_generated = obs::counter("atpg.generated");
     static obs::Counter& c_aborted = obs::counter("atpg.aborted");

@@ -32,7 +32,11 @@ struct TransitionAtpgResult {
     std::size_t generated = 0;
     std::size_t aborted = 0;
     std::size_t untestable = 0;
-    std::size_t justify_failures = 0; ///< V1 could not meet the style constraint
+    /// Failed V1 attempts: one per retry whose V1 could not meet the style
+    /// constraint. A deterministic failure (broadside's justification does
+    /// not depend on the fill) counts once per retry, though it runs once.
+    /// Enhanced-scan V1 failures are not counted: its V1 is unconstrained.
+    std::size_t justify_failures = 0;
 };
 
 [[nodiscard]] TransitionAtpgResult generateTransitionTests(const Netlist& nl,

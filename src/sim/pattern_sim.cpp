@@ -32,6 +32,7 @@ void PatternSim::reset() {
     min_pending_level_ = 0;
     fault_active_ = false;
     fault_ = FaultSite{};
+    fault_slots_ = ~0ULL;
     undo_.clear();
     undo_mark_.assign(nl_->netCount(), 0);
     toggles_.assign(nl_->netCount(), 0);
@@ -50,9 +51,14 @@ void PatternSim::scheduleFanout(NetId net) {
     for (const PinRef& pr : nl_->fanout(net)) schedule(pr.gate);
 }
 
+PV PatternSim::forceStuck(PV v) const noexcept {
+    v.v = fault_.stuck_at_one ? (v.v | fault_slots_) : (v.v & ~fault_slots_);
+    v.x &= ~fault_slots_;
+    return v;
+}
+
 void PatternSim::applyValue(NetId net, PV value) {
-    if (fault_active_ && !fault_.isPinFault() && fault_.net == net)
-        value = PV::all(fault_.stuck_at_one ? Logic::One : Logic::Zero);
+    if (fault_active_ && !fault_.isPinFault() && fault_.net == net) value = forceStuck(value);
     PV& cur = values_[net];
     if (cur == value) return;
     if (fault_active_ && !undo_mark_[net]) {
@@ -91,7 +97,7 @@ std::size_t PatternSim::propagate() {
                 PV v = values_[gate.inputs[p]];
                 if (fault_active_ && fault_.isPinFault() && fault_.gate == g &&
                     fault_.pin == static_cast<int>(p))
-                    v = PV::all(fault_.stuck_at_one ? Logic::One : Logic::Zero);
+                    v = forceStuck(v);
                 ins[p] = v;
             }
             ++evals;
@@ -117,9 +123,10 @@ void PatternSim::setHeldAll(const std::vector<GateId>& gates, bool held) {
     for (GateId g : gates) setHeld(g, held);
 }
 
-void PatternSim::injectFault(const FaultSite& f) {
+void PatternSim::injectFault(const FaultSite& f, std::uint64_t slots) {
     fault_active_ = true;
     fault_ = f;
+    fault_slots_ = slots;
     if (f.isPinFault()) {
         schedule(f.gate);
     } else {

@@ -66,12 +66,15 @@ public:
     [[nodiscard]] bool isHeld(GateId gate) const { return held_.at(gate) != 0; }
 
     // ---- single-fault injection (PPSFP) ---------------------------------
-    /// Activate a stuck-at fault for subsequent propagation. The fault
-    /// applies to all 64 pattern slots. While a fault is active every net
+    /// Activate a stuck-at fault for subsequent propagation. The stuck value
+    /// is forced only in the pattern slots set in `slots` (all 64 by
+    /// default); the other slots keep simulating the fault-free machine, so
+    /// one simulator can carry a good and a faulty machine side by side
+    /// (PODEM puts them in slots 0 and 1). While a fault is active every net
     /// change is recorded in an undo log (at most one entry per net), so
     /// clearFault can restore the pre-fault state without re-propagating.
     /// Inject from a quiescent (fully propagated) state.
-    void injectFault(const FaultSite& f);
+    void injectFault(const FaultSite& f, std::uint64_t slots = ~0ULL);
 
     /// Deactivate the fault and roll the simulator back to the exact state
     /// it had when injectFault was called, by restoring the recorded event
@@ -97,7 +100,8 @@ private:
     void schedule(GateId g);
     void scheduleFanout(NetId net);
     void applyValue(NetId net, PV value);
-    [[nodiscard]] PV faultyInputValue(GateId g, int pin, PV v) const noexcept;
+    /// `v` with the stuck value forced into the fault's slots.
+    [[nodiscard]] PV forceStuck(PV v) const noexcept;
 
     const Netlist* nl_;
     std::vector<PV> values_;
@@ -108,6 +112,7 @@ private:
 
     bool fault_active_ = false;
     FaultSite fault_{};
+    std::uint64_t fault_slots_ = ~0ULL;
     /// Event-frontier undo log: pre-fault value of every net the faulty
     /// excursion touched, recorded on first change. clearFault restores
     /// these directly instead of re-propagating the good cone.

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+
 namespace flh {
 namespace {
 
@@ -147,6 +150,113 @@ TEST(Podem, FreezeConstrainsSolution) {
     EXPECT_EQ(podem.justify(y, Logic::One, p), PodemOutcome::Success);
 }
 
+/// Every assignment of the sources (PIs, then flip-flop outputs), one
+/// pattern per bit combination.
+std::vector<Pattern> exhaustivePatterns(const Netlist& nl) {
+    const std::size_t n_pi = nl.pis().size();
+    const std::size_t n = n_pi + nl.flipFlops().size();
+    std::vector<Pattern> pats(std::size_t{1} << n);
+    for (std::size_t m = 0; m < pats.size(); ++m) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const Logic b = ((m >> i) & 1) ? Logic::One : Logic::Zero;
+            (i < n_pi ? pats[m].pis : pats[m].state).push_back(b);
+        }
+    }
+    return pats;
+}
+
+/// Simulate one fully specified pattern; returns every net's value.
+std::vector<Logic> simulate(const Netlist& nl, const Pattern& p) {
+    PatternSim sim(nl);
+    for (std::size_t i = 0; i < nl.pis().size(); ++i) sim.setNet(nl.pis()[i], PV::all(p.pis[i]));
+    for (std::size_t i = 0; i < nl.flipFlops().size(); ++i)
+        sim.setNet(nl.gate(nl.flipFlops()[i]).output, PV::all(p.state[i]));
+    sim.propagate();
+    std::vector<Logic> v(nl.netCount());
+    for (NetId n = 0; n < nl.netCount(); ++n) v[n] = sim.get(n).get(0);
+    return v;
+}
+
+TEST(Podem, VerdictsMatchExhaustiveSimulation) {
+    // Independent oracle for PODEM's verdicts on circuits small enough to
+    // enumerate: a Success pattern must detect its fault under fault
+    // simulation, an Untestable fault must escape every source assignment,
+    // and a justified value must appear when the pattern is simulated.
+    std::vector<Netlist> circuits;
+    circuits.push_back(makeS27(lib()));
+    CircuitSpec a;
+    a.name = "exh_a";
+    a.n_pis = 5;
+    a.n_pos = 3;
+    a.n_ffs = 5;
+    a.n_comb_gates = 40;
+    a.depth = 6;
+    a.seed = 3;
+    circuits.push_back(generateCircuit(a, lib()));
+    CircuitSpec b = a;
+    b.name = "exh_b";
+    b.n_pis = 6;
+    b.n_ffs = 7;
+    b.n_comb_gates = 70;
+    b.depth = 9;
+    b.seed = 8;
+    circuits.push_back(generateCircuit(b, lib()));
+
+    std::size_t untestable_total = 0;
+    for (const Netlist& nl : circuits) {
+        SCOPED_TRACE(nl.name());
+        ASSERT_LE(nl.pis().size() + nl.flipFlops().size(), 16u);
+        const std::vector<Pattern> all = exhaustivePatterns(nl);
+
+        // Which values each net can take over all source assignments.
+        std::vector<std::array<bool, 2>> reachable(nl.netCount(), {false, false});
+        for (const Pattern& p : all) {
+            const auto v = simulate(nl, p);
+            for (NetId n = 0; n < nl.netCount(); ++n)
+                reachable[n][v[n] == Logic::One ? 1 : 0] = true;
+        }
+
+        Podem podem(nl);
+        Rng rng(31);
+        std::vector<FaultSite> untestable;
+        std::size_t successes = 0;
+        for (const FaultSite& f : allStuckAtFaults(nl)) {
+            Pattern p;
+            const PodemOutcome out = podem.generate(f, p);
+            if (out == PodemOutcome::Untestable) untestable.push_back(f);
+            if (out != PodemOutcome::Success) continue;
+            ++successes;
+            fillRandom(p, rng);
+            const Pattern one[1] = {p};
+            const FaultSite fs[1] = {f};
+            EXPECT_EQ(runStuckAtFaultSim(nl, one, fs).detected, 1u) << toString(nl, f);
+        }
+        EXPECT_GT(successes, 0u);
+        const FaultSimResult escaped = runStuckAtFaultSim(nl, all, untestable);
+        for (std::size_t i = 0; i < untestable.size(); ++i)
+            EXPECT_FALSE(escaped.detected_mask[i]) << "untestable but detected: "
+                                                   << toString(nl, untestable[i]);
+        untestable_total += untestable.size();
+
+        for (NetId n = 0; n < nl.netCount(); ++n) {
+            for (const Logic v : {Logic::Zero, Logic::One}) {
+                Pattern p;
+                const PodemOutcome out = podem.justify(n, v, p);
+                const bool can = reachable[n][v == Logic::One ? 1 : 0];
+                if (out == PodemOutcome::Untestable) {
+                    EXPECT_FALSE(can) << nl.net(n).name << " = " << toChar(v);
+                }
+                if (out != PodemOutcome::Success) continue;
+                fillRandom(p, rng);
+                EXPECT_EQ(simulate(nl, p)[n], v) << nl.net(n).name << " = " << toChar(v);
+            }
+        }
+    }
+    // The generated circuits carry redundancy, so the untestable branch of
+    // the oracle is exercised too.
+    EXPECT_GT(untestable_total, 0u);
+}
+
 TEST(StuckAtpg, HighCoverageOnS27) {
     const Netlist nl = makeS27(lib());
     const auto faults = collapsedStuckAtFaults(nl);
@@ -212,6 +322,58 @@ TEST(TransitionAtpg, CoverageOrderingMatchesPaper) {
     // has none by construction.
     EXPECT_EQ(enh.justify_failures, 0u);
     EXPECT_GT(brd.justify_failures + skw.justify_failures, 0u);
+}
+
+/// FNV-1a over everything a transition-ATPG run decides: the test set
+/// and its counters.
+std::uint64_t digest(const TransitionAtpgResult& r) {
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&](std::uint64_t x) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (x >> (8 * i)) & 0xFF;
+            h *= 1099511628211ULL;
+        }
+    };
+    const auto mixPattern = [&](const Pattern& p) {
+        mix(p.pis.size());
+        for (const Logic l : p.pis) mix(static_cast<std::uint64_t>(l));
+        mix(p.state.size());
+        for (const Logic l : p.state) mix(static_cast<std::uint64_t>(l));
+    };
+    mix(r.tests.size());
+    for (const TwoPattern& tp : r.tests) {
+        mixPattern(tp.v1);
+        mixPattern(tp.v2);
+    }
+    for (const std::size_t c : {r.generated, r.aborted, r.untestable, r.justify_failures})
+        mix(c);
+    return h;
+}
+
+TEST(TransitionAtpg, TestSetDigestIsStable) {
+    // Search-cost optimizations must not change a single search decision:
+    // the test sets and counters are pinned to digests recorded before the
+    // PODEM simulator and retry rework.
+    const Netlist nl = makeCircuit("s641", lib());
+    const auto faults = allTransitionFaults(nl);
+    TransitionAtpgConfig cfg;
+    cfg.justify_retries = 3;
+    cfg.podem.max_backtracks = 60;
+    const std::pair<TestApplication, std::uint64_t> expected[] = {
+        {TestApplication::EnhancedScan, 0x33fa5cc5686817efULL},
+        {TestApplication::SkewedLoad, 0xded1041cd5a70615ULL},
+        {TestApplication::Broadside, 0x929063a5d7f05729ULL},
+    };
+    for (const auto& [style, want] : expected) {
+        const TransitionAtpgResult r = generateTransitionTests(nl, style, faults, cfg);
+        char got[32];
+        std::snprintf(got, sizeof got, "0x%016llxULL", static_cast<unsigned long long>(digest(r)));
+        EXPECT_EQ(digest(r), want) << toString(style) << " digest " << got << " (tests "
+                                   << r.tests.size() << ", generated " << r.generated
+                                   << ", aborted " << r.aborted << ", untestable "
+                                   << r.untestable << ", justify_failures "
+                                   << r.justify_failures << ")";
+    }
 }
 
 } // namespace

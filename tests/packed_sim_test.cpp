@@ -189,9 +189,11 @@ TEST(PackedSim, ClearFaultRestoresExactPreInjectState) {
          }) {
         sim.injectFault(f);
         sim.propagate();
-        if (!f.isPinFault())
-            for (unsigned w = 0; w < 4; ++w)
+        if (!f.isPinFault()) {
+            for (unsigned w = 0; w < 4; ++w) {
                 ASSERT_EQ(sim.get(f.net, w), PV::all(f.stuck_at_one ? Logic::One : Logic::Zero));
+            }
+        }
         sim.clearFault();
         for (NetId n = 0; n < nl.netCount(); ++n)
             for (unsigned w = 0; w < 4; ++w)

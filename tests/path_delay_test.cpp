@@ -155,5 +155,26 @@ TEST(PathAtpg, ArbitraryPairsCoverMoreCriticalPaths) {
     EXPECT_GT(enh.tested, 0u);
 }
 
+TEST(PathAtpg, CombinationalCircuitGetsTests) {
+    // Without flip-flops every pattern's state is empty; that must not read
+    // as a failed justification. y = AND(a, b): both polarities of a -> y
+    // are testable.
+    Netlist nl("and2", lib());
+    const NetId a = nl.addPi("a");
+    const NetId b = nl.addPi("b");
+    const NetId y = nl.addNet("y");
+    const GateId g = nl.addGate(CellFn::And, {a, b}, y);
+    nl.markPo(y);
+    const DelayPath path{{a, y}, {g}, 0.0};
+    for (const TestApplication style :
+         {TestApplication::EnhancedScan, TestApplication::SkewedLoad,
+          TestApplication::Broadside}) {
+        const auto r = generatePathDelayTests(nl, std::span(&path, 1), style);
+        EXPECT_EQ(r.attempted, 2u) << toString(style);
+        EXPECT_EQ(r.tested, 2u) << toString(style);
+        EXPECT_EQ(r.justify_failed, 0u) << toString(style);
+    }
+}
+
 } // namespace
 } // namespace flh
