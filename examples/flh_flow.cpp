@@ -42,10 +42,10 @@ namespace {
 constexpr const char* kUsage = R"(usage: flh_flow [options]
   --circuits LIST      comma-separated registry names or .bench paths
                        (default: s27,s298)
-  --threads N          worker threads, scheduler AND fault-sim; 0 = one per
-                       hardware thread (default 1)
-  --sim-threads N      override the fault-sim budget separately from the
-                       scheduler width
+  --threads N          worker threads: scheduler, fault-sim and ATPG
+                       top-off; 0 = one per hardware thread (default 1)
+  --sim-threads N      override the inner fault-sim and ATPG top-off budget
+                       separately from the scheduler width
   --cache-dir DIR      result cache directory (default .flowcache)
   --no-cache           recompute everything, touch no cache
   --report FILE        deterministic run report (default flow_report.json)

@@ -1,8 +1,14 @@
 #include "atpg/transition_atpg.hpp"
 
 #include "obs/telemetry.hpp"
+#include "util/exec_policy.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <string>
+#include <thread>
 
 namespace flh {
 
@@ -40,6 +46,318 @@ TwoPattern randomPair(const Netlist& nl, TestApplication style, Rng& rng) {
     return {};
 }
 
+/// At most one top-off worker per this many open faults. The floor is for
+/// memory, not time: a worker costs a thread, a Podem and, under glibc, a
+/// malloc arena that stays resident, while a top-off this small finishes in
+/// milliseconds serially.
+constexpr std::size_t kMinTopOffFaultsPerWorker = 256;
+
+/// The fill-independent part of one fault's top-off: PODEM's V2 and, for
+/// enhanced scan and broadside, V1's justification. A pure function of the
+/// fault, so any worker's Podem may compute it.
+struct Prepared {
+    PodemOutcome v2_out = PodemOutcome::Aborted;
+    Pattern v2;
+    bool v1_ok = true; ///< false: the V1 justification failed
+    Pattern v1_base;
+};
+
+/// Deterministic top-off over the faults the random phase left undetected.
+/// prepare() may run on any thread; commit() — every counter, every random
+/// fill, skewed load's per-attempt justification and the grading — runs on
+/// the calling thread in fault order, so the outcome does not depend on the
+/// thread count.
+class TopOff {
+public:
+    TopOff(const Netlist& nl, TestApplication style, std::span<const TransitionFault> faults,
+           const TransitionAtpgConfig& cfg, TransitionAtpgResult& res, Rng& rng)
+        : nl_(nl), style_(style), faults_(faults), cfg_(cfg), res_(res), rng_(rng),
+          podem_(nl, cfg.podem) {
+        for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+            if (res.coverage.detected_mask[fi]) continue;
+            open_idx_.push_back(fi);
+            open_faults_.push_back(faults[fi]);
+        }
+    }
+
+    void run() {
+        // The open list shrinks as tests are added; walk a snapshot.
+        const std::vector<std::size_t> order = open_idx_;
+        const unsigned workers = ExecPolicy{cfg_.threads, kMinTopOffFaultsPerWorker}
+                                     .resolveThreads(order.size());
+        if (workers > 1) {
+            runParallel(order, workers);
+            return;
+        }
+        for (const std::size_t fi : order)
+            if (!res_.coverage.detected_mask[fi]) commit(fi, prepare(podem_, fi));
+    }
+
+private:
+    [[nodiscard]] Prepared prepare(Podem& podem, std::size_t fi) const;
+    void commit(std::size_t fi, const Prepared& p);
+    bool tryAddTest(std::size_t fi, const TwoPattern& tp);
+    void runParallel(const std::vector<std::size_t>& order, unsigned workers);
+
+    const Netlist& nl_;
+    TestApplication style_;
+    std::span<const TransitionFault> faults_;
+    const TransitionAtpgConfig& cfg_;
+    TransitionAtpgResult& res_;
+    Rng& rng_;
+    Podem podem_; ///< the calling thread's: serial prepare, skewed-load commit
+    /// Still-undetected faults, ascending: what one-test grading covers.
+    std::vector<std::size_t> open_idx_;
+    std::vector<TransitionFault> open_faults_;
+    /// Guards res_.coverage.detected_mask writes (commit) against the
+    /// workers' claim-time reads.
+    std::mutex mu_;
+};
+
+Prepared TopOff::prepare(Podem& podem, std::size_t fi) const {
+    Prepared p;
+    const TransitionFault& tf = faults_[fi];
+    // V2: detect the equivalent stuck-at fault.
+    podem.clearFrozen();
+    p.v2_out = podem.generate(tf.equivalentStuckAt(), p.v2);
+    // Enhanced-scan and broadside V1 searches do not depend on the random
+    // fill, so each runs once and every attempt re-fills a copy; a failure
+    // would repeat on every retry. Skewed load re-justifies per attempt at
+    // commit: its frozen state comes from the filled V2.
+    if (p.v2_out != PodemOutcome::Success || style_ == TestApplication::SkewedLoad ||
+        cfg_.justify_retries <= 0)
+        return p;
+    podem.clearFrozen();
+    if (style_ == TestApplication::EnhancedScan) {
+        // V1: independently justify the initial value at the site.
+        p.v1_ok = podem.justify(tf.net, tf.initialValue(), p.v1_base) == PodemOutcome::Success;
+        return p;
+    }
+    // V1 must drive the circuit into V2's required state: justify every
+    // specified bit of V2.state at the FF D inputs — the sequential
+    // justification that makes broadside coverage poor.
+    const auto& ffs = nl_.flipFlops();
+    std::vector<std::pair<NetId, Logic>> objectives;
+    for (std::size_t i = 0; i < ffs.size(); ++i) {
+        if (p.v2.state[i] == Logic::X) continue;
+        objectives.push_back({nl_.gate(ffs[i]).inputs[0], p.v2.state[i]});
+    }
+    // The initial value at the site must hold in V1 as well.
+    objectives.push_back({tf.net, tf.initialValue()});
+    p.v1_ok = podem.justifyAll(objectives, p.v1_base) == PodemOutcome::Success;
+    return p;
+}
+
+void TopOff::commit(std::size_t fi, const Prepared& p) {
+    if (p.v2_out == PodemOutcome::Untestable) {
+        ++res_.untestable;
+        return;
+    }
+    if (p.v2_out == PodemOutcome::Aborted) {
+        ++res_.aborted;
+        return;
+    }
+    if (!p.v1_ok) {
+        // One failure per attempt, as if each had re-run it.
+        if (style_ == TestApplication::Broadside)
+            res_.justify_failures += static_cast<std::size_t>(cfg_.justify_retries);
+        return;
+    }
+
+    const TransitionFault& tf = faults_[fi];
+    const auto& ffs = nl_.flipFlops();
+    bool added = false;
+    for (int attempt = 0; attempt < cfg_.justify_retries && !added; ++attempt) {
+        switch (style_) {
+            case TestApplication::EnhancedScan: {
+                TwoPattern tp;
+                tp.v1 = p.v1_base;
+                fillRandom(tp.v1, rng_);
+                tp.v2 = p.v2;
+                fillRandom(tp.v2, rng_);
+                added = tryAddTest(fi, tp);
+                break;
+            }
+            case TestApplication::SkewedLoad: {
+                // V1's state is V2's state shifted back by one position;
+                // only the PIs and the scan-out-end bit remain free.
+                Pattern v2f = p.v2;
+                fillRandom(v2f, rng_);
+                podem_.clearFrozen();
+                for (std::size_t i = 0; i + 1 < ffs.size(); ++i)
+                    podem_.freeze(nl_.gate(ffs[i + 1]).output, v2f.state[i]);
+                Pattern v1;
+                if (podem_.justify(tf.net, tf.initialValue(), v1) != PodemOutcome::Success) {
+                    ++res_.justify_failures;
+                    break;
+                }
+                fillRandom(v1, rng_);
+                // Re-derive V2's state from the (filled) V1 so the pair is
+                // structurally exact, keeping V2's required PIs.
+                TwoPattern tp = makePair(nl_, style_, v1, v2f.pis,
+                                         v2f.state.empty() ? Logic::Zero : v2f.state.back());
+                added = tryAddTest(fi, tp);
+                break;
+            }
+            case TestApplication::Broadside: {
+                Pattern v1 = p.v1_base;
+                fillRandom(v1, rng_);
+                TwoPattern tp = makePair(nl_, style_, v1, [&] {
+                    Pattern v2f = p.v2;
+                    fillRandom(v2f, rng_);
+                    return v2f.pis;
+                }());
+                added = tryAddTest(fi, tp);
+                break;
+            }
+        }
+    }
+}
+
+bool TopOff::tryAddTest(std::size_t fi, const TwoPattern& tp) {
+    // Already-detected faults cannot change detected_mask, so grading
+    // covers only the open ones. `fi` is open: commit runs only for those.
+    const TwoPattern one[1] = {tp};
+    const FaultSimResult hit = runTransitionFaultSim(nl_, one, open_faults_);
+    const auto pos = static_cast<std::size_t>(
+        std::lower_bound(open_idx_.begin(), open_idx_.end(), fi) - open_idx_.begin());
+    if (!hit.detected_mask[pos]) return false;
+    std::size_t kept = 0;
+    {
+        const std::lock_guard lock(mu_);
+        for (std::size_t j = 0; j < open_idx_.size(); ++j) {
+            if (hit.detected_mask[j]) {
+                res_.coverage.detected_mask[open_idx_[j]] = true;
+                ++res_.coverage.detected;
+            } else {
+                open_idx_[kept] = open_idx_[j];
+                open_faults_[kept] = open_faults_[j];
+                ++kept;
+            }
+        }
+    }
+    open_idx_.resize(kept);
+    open_faults_.resize(kept);
+    res_.tests.push_back(tp);
+    ++res_.generated;
+    return true;
+}
+
+void TopOff::runParallel(const std::vector<std::size_t>& order, unsigned workers) {
+    // Workers prepare faults speculatively, at most `window` past the last
+    // commit; the calling thread commits them in fault order and discards
+    // one that an earlier commit's test has since detected — exactly the
+    // fault the serial loop would have skipped. While the next fault in
+    // order is not ready, the calling thread prepares too, so it spawns one
+    // worker fewer than `workers`.
+    const std::size_t n = order.size();
+    const std::size_t window = 2 * static_cast<std::size_t>(workers);
+    enum class Slot : std::uint8_t { Pending, Ready, Skipped };
+    // All guarded by mu_.
+    std::vector<Slot> slot(n, Slot::Pending);
+    std::vector<Prepared> prepared(n);
+    std::size_t next_claim = 0;
+    std::size_t next_commit = 0;
+    bool stop = false;
+    std::vector<std::exception_ptr> errors(workers);
+    std::condition_variable claim_cv;  // workers: a claim became possible
+    std::condition_variable commit_cv; // caller: a slot became Ready/Skipped
+
+    // Claims the next fault if the window allows and prepares it unless an
+    // earlier commit already detected it. Call with `lock` held.
+    const auto claimOne = [&](std::unique_lock<std::mutex>& lock, Podem& podem) -> bool {
+        if (next_claim >= n || next_claim >= next_commit + window) return false;
+        const std::size_t k = next_claim++;
+        if (res_.coverage.detected_mask[order[k]]) {
+            slot[k] = Slot::Skipped;
+        } else {
+            lock.unlock();
+            Prepared p = prepare(podem, order[k]);
+            lock.lock();
+            prepared[k] = std::move(p);
+            slot[k] = Slot::Ready;
+        }
+        return true;
+    };
+    const auto worker = [&](unsigned w) {
+        try {
+            if (obs::enabled()) obs::setThreadLabel("atpg-worker-" + std::to_string(w));
+            obs::ScopedSpan span(obs::enabled() ? "atpg:topoff:worker[" + std::to_string(w) + "]"
+                                                : std::string(),
+                                 "atpg");
+            Podem podem(nl_, cfg_.podem);
+            std::unique_lock lock(mu_);
+            for (;;) {
+                claim_cv.wait(lock, [&] {
+                    return stop || next_claim >= n || next_claim < next_commit + window;
+                });
+                if (stop || next_claim >= n) return;
+                claimOne(lock, podem);
+                commit_cv.notify_one();
+            }
+        } catch (...) {
+            const std::lock_guard lock(mu_);
+            errors[w] = std::current_exception();
+            stop = true;
+            claim_cv.notify_all();
+            commit_cv.notify_one();
+        }
+    };
+
+    // The Netlist builds its derived data lazily; force it before the
+    // workers only read it.
+    (void)nl_.levels();
+    if (nl_.netCount()) (void)nl_.fanout(0);
+    std::vector<std::thread> pool;
+    const auto halt = [&] {
+        {
+            const std::lock_guard lock(mu_);
+            stop = true;
+        }
+        claim_cv.notify_all();
+        for (std::thread& t : pool) t.join();
+    };
+
+    std::size_t discarded = 0;
+    try {
+        pool.reserve(workers - 1);
+        for (unsigned w = 1; w < workers; ++w) pool.emplace_back(worker, w);
+        for (std::size_t k = 0; k < n; ++k) {
+            Prepared p;
+            bool skipped = false;
+            {
+                std::unique_lock lock(mu_);
+                // The calling thread is worker 0 while it waits for slot k.
+                while (!stop && slot[k] == Slot::Pending)
+                    if (!claimOne(lock, podem_)) commit_cv.wait(lock);
+                if (stop) break; // a worker failed; its error is rethrown below
+                skipped = slot[k] == Slot::Skipped;
+                if (!skipped) p = std::move(prepared[k]);
+            }
+            // Only this thread writes detected_mask, so it reads it unlocked.
+            if (!skipped) {
+                if (res_.coverage.detected_mask[order[k]])
+                    ++discarded;
+                else
+                    commit(order[k], p);
+            }
+            {
+                const std::lock_guard lock(mu_);
+                next_commit = k + 1;
+            }
+            claim_cv.notify_all();
+        }
+    } catch (...) {
+        halt();
+        throw;
+    }
+    halt();
+    static obs::Counter& c_discarded = obs::counter("atpg.topoff_discarded");
+    c_discarded.add(discarded);
+    for (const std::exception_ptr& e : errors)
+        if (e) std::rethrow_exception(e);
+}
+
 } // namespace
 
 TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication style,
@@ -61,120 +379,9 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
     }
 
     // Phase 2: deterministic top-off.
-    obs::ScopedSpan topoff_span("atpg:transition:topoff", "atpg");
-    Podem podem(nl, cfg.podem);
-    const auto& ffs = nl.flipFlops();
-
-    const auto tryAddTest = [&](std::size_t fi, const TwoPattern& tp) -> bool {
-        const TwoPattern one[1] = {tp};
-        const FaultSimResult hit = runTransitionFaultSim(nl, one, faults);
-        if (!hit.detected_mask[fi]) return false;
-        for (std::size_t fj = 0; fj < faults.size(); ++fj) {
-            if (hit.detected_mask[fj] && !res.coverage.detected_mask[fj]) {
-                res.coverage.detected_mask[fj] = true;
-                ++res.coverage.detected;
-            }
-        }
-        res.tests.push_back(tp);
-        ++res.generated;
-        return true;
-    };
-
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-        if (res.coverage.detected_mask[fi]) continue;
-        const TransitionFault& tf = faults[fi];
-
-        // V2: detect the equivalent stuck-at fault.
-        Pattern v2;
-        podem.clearFrozen();
-        const PodemOutcome v2_out = podem.generate(tf.equivalentStuckAt(), v2);
-        if (v2_out == PodemOutcome::Untestable) {
-            ++res.untestable;
-            continue;
-        }
-        if (v2_out == PodemOutcome::Aborted) {
-            ++res.aborted;
-            continue;
-        }
-
-        // Enhanced-scan and broadside V1 searches do not depend on the
-        // random fill, so each runs once and every attempt re-fills a copy;
-        // a failure would repeat on every retry. Skewed load re-justifies
-        // per attempt: its frozen state comes from the filled V2.
-        Pattern v1_base;
-        if (style != TestApplication::SkewedLoad && cfg.justify_retries > 0) {
-            podem.clearFrozen();
-            if (style == TestApplication::EnhancedScan) {
-                // V1: independently justify the initial value at the site.
-                if (podem.justify(tf.net, tf.initialValue(), v1_base) != PodemOutcome::Success)
-                    continue;
-            } else {
-                // V1 must drive the circuit into V2's required state:
-                // justify every specified bit of V2.state at the FF D
-                // inputs — the sequential justification that makes
-                // broadside coverage poor.
-                std::vector<std::pair<NetId, Logic>> objectives;
-                for (std::size_t i = 0; i < ffs.size(); ++i) {
-                    if (v2.state[i] == Logic::X) continue;
-                    objectives.push_back({nl.gate(ffs[i]).inputs[0], v2.state[i]});
-                }
-                // The initial value at the site must hold in V1 as well.
-                objectives.push_back({tf.net, tf.initialValue()});
-                if (podem.justifyAll(objectives, v1_base) != PodemOutcome::Success) {
-                    // One failure per attempt, as if each had re-run it.
-                    res.justify_failures += static_cast<std::size_t>(cfg.justify_retries);
-                    continue;
-                }
-            }
-        }
-
-        bool added = false;
-        for (int attempt = 0; attempt < cfg.justify_retries && !added; ++attempt) {
-            switch (style) {
-                case TestApplication::EnhancedScan: {
-                    TwoPattern tp;
-                    tp.v1 = v1_base;
-                    fillRandom(tp.v1, rng);
-                    tp.v2 = v2;
-                    fillRandom(tp.v2, rng);
-                    added = tryAddTest(fi, tp);
-                    break;
-                }
-                case TestApplication::SkewedLoad: {
-                    // V1's state is V2's state shifted back by one position;
-                    // only the PIs and the scan-out-end bit remain free.
-                    Pattern v2f = v2;
-                    fillRandom(v2f, rng);
-                    podem.clearFrozen();
-                    for (std::size_t i = 0; i + 1 < ffs.size(); ++i)
-                        podem.freeze(nl.gate(ffs[i + 1]).output, v2f.state[i]);
-                    Pattern v1;
-                    if (podem.justify(tf.net, tf.initialValue(), v1) != PodemOutcome::Success) {
-                        ++res.justify_failures;
-                        break;
-                    }
-                    fillRandom(v1, rng);
-                    // Re-derive V2's state from the (filled) V1 so the pair
-                    // is structurally exact, keeping V2's required PIs.
-                    TwoPattern tp = makePair(nl, style, v1, v2f.pis,
-                                             v2f.state.empty() ? Logic::Zero
-                                                               : v2f.state.back());
-                    added = tryAddTest(fi, tp);
-                    break;
-                }
-                case TestApplication::Broadside: {
-                    Pattern v1 = v1_base;
-                    fillRandom(v1, rng);
-                    TwoPattern tp = makePair(nl, style, v1, [&] {
-                        Pattern v2f = v2;
-                        fillRandom(v2f, rng);
-                        return v2f.pis;
-                    }());
-                    added = tryAddTest(fi, tp);
-                    break;
-                }
-            }
-        }
+    {
+        obs::ScopedSpan topoff_span("atpg:transition:topoff", "atpg");
+        TopOff(nl, style, faults, cfg, res, rng).run();
     }
     static obs::Counter& c_generated = obs::counter("atpg.generated");
     static obs::Counter& c_aborted = obs::counter("atpg.aborted");

@@ -12,6 +12,18 @@
 //  * Broadside — V2's state must be the circuit's response to V1, a
 //    sequential justification problem ("can suffer from poor fault
 //    coverage").
+//
+// Generation runs a seeded random phase with fault dropping, then a PODEM
+// top-off over the faults it left undetected. The top-off can run on
+// several threads (TransitionAtpgConfig::threads): workers speculatively
+// run each fault's fill-independent searches (PODEM's V2 and, for enhanced
+// scan and broadside, V1's justification) a bounded window ahead, while
+// the calling thread commits them in fault order — every counter, random
+// fill, skewed-load justification and grading decision — and prepares
+// faults itself while the next one in order is still being searched.
+// Podem resets fully on every call and the RNG is drawn only at commit, so
+// test sets, counters and detected_mask are bit-identical for every
+// thread count.
 #pragma once
 
 #include "atpg/stuck_atpg.hpp"
@@ -23,6 +35,11 @@ struct TransitionAtpgConfig {
     int justify_retries = 3; ///< re-tries with different fills (constrained styles)
     PodemConfig podem{};
     std::uint64_t seed = 11;
+    /// Top-off worker threads (ExecPolicy::threads): 1 = inline on the
+    /// calling thread, no pool; 0 = one per hardware thread. At most one
+    /// worker per 256 faults left after the random phase, so small top-offs
+    /// stay serial. Results do not depend on it.
+    unsigned threads = 1;
 };
 
 struct TransitionAtpgResult {

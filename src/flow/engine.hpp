@@ -7,7 +7,7 @@
 // Workers pull ready tasks from a shared queue, so independent stages of
 // one design and all stages of different designs overlap freely up to
 // `threads`. Stage functions receive `sim_threads` as their inner
-// FaultSimOptions budget.
+// fault-simulation and ATPG top-off budget.
 //
 // Determinism: the report is assembled from the (design, stage)-indexed
 // record table after the pool drains, artifacts are canonical (see
@@ -48,7 +48,7 @@ struct FlowOptions {
     /// 0 = one per hardware thread. Deprecated alias of
     /// ExecPolicy::threads — resolution goes through schedExec().
     unsigned threads = 1;
-    /// Inner fault-simulation budget handed to each stage (FaultSimOptions).
+    /// Inner fault-simulation and ATPG top-off budget handed to each stage.
     unsigned sim_threads = 1;
     /// Result-cache configuration (directory, enabled flag).
     CacheConfig cache;

@@ -35,8 +35,9 @@ public:
     /// Free-form design attributes ("k=v;..."), part of the cache key.
     [[nodiscard]] const std::string& attrs() const noexcept { return attrs_; }
 
-    /// Inner parallelism budget (feeds FaultSimOptions::threads). Never
-    /// cache-relevant: results are deterministic across thread counts.
+    /// Inner parallelism budget (feeds FaultSimOptions::threads and
+    /// TransitionAtpgConfig::threads). Never cache-relevant: results are
+    /// deterministic across thread counts.
     [[nodiscard]] unsigned simThreads() const noexcept { return sim_threads_; }
 
     /// Artifact of a declared dependency; throws if `stage` was not declared.

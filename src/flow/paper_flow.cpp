@@ -154,6 +154,9 @@ FlowGraph buildPaperFlow(const PaperFlowConfig& cfg) {
                     TransitionAtpgConfig acfg;
                     acfg.random_pairs = cfg.random_pairs;
                     acfg.seed = cfg.atpg_seed;
+                    // Thread-invariant results, so the budget stays out of
+                    // the cache key like fault_sim's.
+                    acfg.threads = ctx.simThreads();
                     const TransitionAtpgResult r = generateTransitionTests(
                         nl, TestApplication::EnhancedScan, faults, acfg);
                     Artifact art;

@@ -1,10 +1,13 @@
 #include "atpg/transition_atpg.hpp"
 #include "iscas/circuits.hpp"
+#include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <initializer_list>
+#include <string>
 
 namespace flh {
 namespace {
@@ -350,29 +353,144 @@ std::uint64_t digest(const TransitionAtpgResult& r) {
     return h;
 }
 
-TEST(TransitionAtpg, TestSetDigestIsStable) {
-    // Search-cost optimizations must not change a single search decision:
-    // the test sets and counters are pinned to digests recorded before the
-    // PODEM simulator and retry rework.
-    const Netlist nl = makeCircuit("s641", lib());
+using DigestTable = std::array<std::pair<TestApplication, std::uint64_t>, 3>;
+
+void expectDigests(const Netlist& nl, const TransitionAtpgConfig& cfg,
+                   const DigestTable& expected) {
     const auto faults = allTransitionFaults(nl);
-    TransitionAtpgConfig cfg;
-    cfg.justify_retries = 3;
-    cfg.podem.max_backtracks = 60;
-    const std::pair<TestApplication, std::uint64_t> expected[] = {
-        {TestApplication::EnhancedScan, 0x33fa5cc5686817efULL},
-        {TestApplication::SkewedLoad, 0xded1041cd5a70615ULL},
-        {TestApplication::Broadside, 0x929063a5d7f05729ULL},
-    };
     for (const auto& [style, want] : expected) {
         const TransitionAtpgResult r = generateTransitionTests(nl, style, faults, cfg);
         char got[32];
-        std::snprintf(got, sizeof got, "0x%016llxULL", static_cast<unsigned long long>(digest(r)));
-        EXPECT_EQ(digest(r), want) << toString(style) << " digest " << got << " (tests "
-                                   << r.tests.size() << ", generated " << r.generated
-                                   << ", aborted " << r.aborted << ", untestable "
-                                   << r.untestable << ", justify_failures "
-                                   << r.justify_failures << ")";
+        std::snprintf(got, sizeof got, "0x%016llxULL",
+                      static_cast<unsigned long long>(digest(r)));
+        EXPECT_EQ(digest(r), want)
+            << nl.name() << " " << toString(style) << " threads " << cfg.threads << " digest "
+            << got << " (tests " << r.tests.size() << ", generated " << r.generated
+            << ", aborted " << r.aborted << ", untestable " << r.untestable
+            << ", justify_failures " << r.justify_failures << ")";
+    }
+}
+
+/// Lanes a traced run of `cfg` records: the calling thread's, plus one per
+/// top-off worker it spawned.
+std::size_t tracedLanes(const Netlist& nl, TestApplication style, const TransitionAtpgConfig& cfg) {
+    obs::reset();
+    obs::setEnabled(true);
+    (void)generateTransitionTests(nl, style, allTransitionFaults(nl), cfg);
+    obs::setEnabled(false);
+    const std::size_t lanes = obs::laneCount();
+    obs::reset();
+    return lanes;
+}
+
+TEST(TransitionAtpg, TestSetDigestIsStable) {
+    // Search-cost optimizations and the parallel top-off must not change a
+    // single search decision: the test sets and counters are pinned to
+    // digests of the serial loop.
+    TransitionAtpgConfig cfg;
+    cfg.justify_retries = 3;
+    cfg.podem.max_backtracks = 60;
+    // Recorded before the PODEM simulator and retry rework. 128 random
+    // pairs leave under 512 faults, so the top-off stays serial.
+    expectDigests(makeCircuit("s641", lib()), cfg,
+                  {{{TestApplication::EnhancedScan, 0x33fa5cc5686817efULL},
+                    {TestApplication::SkewedLoad, 0xded1041cd5a70615ULL},
+                    {TestApplication::Broadside, 0x929063a5d7f05729ULL}}});
+    // Recorded before the top-off could run in parallel. 4 random pairs
+    // leave over 1024 faults, enough for four workers.
+    cfg.random_pairs = 4;
+    const Netlist s1423 = makeCircuit("s1423", lib());
+    for (const unsigned threads : {1u, 4u}) {
+        cfg.threads = threads;
+        expectDigests(s1423, cfg,
+                      {{{TestApplication::EnhancedScan, 0xed070e17f492c492ULL},
+                        {TestApplication::SkewedLoad, 0x23ea2ab328a3ba67ULL},
+                        {TestApplication::Broadside, 0x06a3c61cfb7ddb00ULL}}});
+    }
+    EXPECT_EQ(tracedLanes(s1423, TestApplication::EnhancedScan, cfg), 4u)
+        << "the 4-thread run must spawn three workers";
+}
+
+/// Everything generateTransitionTests decides must match bit for bit.
+void expectSameResult(const TransitionAtpgResult& got, const TransitionAtpgResult& want,
+                      const std::string& what) {
+    ASSERT_EQ(got.tests.size(), want.tests.size()) << what;
+    for (std::size_t i = 0; i < got.tests.size(); ++i) {
+        EXPECT_EQ(got.tests[i].v1.pis, want.tests[i].v1.pis) << what << " test " << i;
+        EXPECT_EQ(got.tests[i].v1.state, want.tests[i].v1.state) << what << " test " << i;
+        EXPECT_EQ(got.tests[i].v2.pis, want.tests[i].v2.pis) << what << " test " << i;
+        EXPECT_EQ(got.tests[i].v2.state, want.tests[i].v2.state) << what << " test " << i;
+    }
+    EXPECT_EQ(got.generated, want.generated) << what;
+    EXPECT_EQ(got.aborted, want.aborted) << what;
+    EXPECT_EQ(got.untestable, want.untestable) << what;
+    EXPECT_EQ(got.justify_failures, want.justify_failures) << what;
+    EXPECT_EQ(got.coverage.detected, want.coverage.detected) << what;
+    EXPECT_EQ(got.coverage.detected_mask, want.coverage.detected_mask) << what;
+}
+
+/// Runs `cfg` serially and at each thread count in `threads`, expecting the
+/// parallel runs to reproduce the serial one.
+void expectThreadInvariant(const Netlist& nl, TestApplication style, TransitionAtpgConfig cfg,
+                           std::initializer_list<unsigned> threads) {
+    const auto faults = allTransitionFaults(nl);
+    cfg.threads = 1;
+    const TransitionAtpgResult serial = generateTransitionTests(nl, style, faults, cfg);
+    for (const unsigned t : threads) {
+        cfg.threads = t;
+        expectSameResult(generateTransitionTests(nl, style, faults, cfg), serial,
+                         nl.name() + " " + toString(style) + " threads " + std::to_string(t));
+    }
+}
+
+TEST(TransitionAtpg, ParallelTopOffMatchesSerial) {
+    // Workers prepare faults speculatively and out of order; the in-order
+    // commit must leave every decision exactly as the serial loop makes it.
+    // 4 random pairs leave 650-700 top-off faults on s641 (two workers at
+    // most) and 1000-1200 on s1423 (four), so every parallel count below
+    // runs a real pool; 64 resolves to the per-fault cap.
+    TransitionAtpgConfig cfg;
+    cfg.random_pairs = 4;
+    cfg.podem.max_backtracks = 20;
+    for (const char* circuit : {"s641", "s1423"}) {
+        const Netlist nl = makeCircuit(circuit, lib());
+        for (const TestApplication style : {TestApplication::EnhancedScan,
+                                            TestApplication::SkewedLoad,
+                                            TestApplication::Broadside}) {
+            expectThreadInvariant(nl, style, cfg, {1, 2, 4, 0, 64});
+            cfg.threads = 2;
+            EXPECT_EQ(tracedLanes(nl, style, cfg), 2u)
+                << circuit << " " << toString(style) << ": no top-off pool ran";
+        }
+    }
+}
+
+TEST(TransitionAtpg, ParallelTopOffEdgeCases) {
+    // Nothing left for the top-off after the random phase: the pool never
+    // starts and the result is the random phase's alone.
+    {
+        const Netlist nl = makeS27(lib());
+        TransitionAtpgConfig cfg;
+        cfg.random_pairs = 512;
+        const auto faults = allTransitionFaults(nl);
+        cfg.threads = 4;
+        const TransitionAtpgResult r =
+            generateTransitionTests(nl, TestApplication::EnhancedScan, faults, cfg);
+        EXPECT_EQ(r.coverage.detected, faults.size());
+        EXPECT_EQ(r.generated, 0u);
+        expectThreadInvariant(nl, TestApplication::EnhancedScan, cfg, {4, 0});
+    }
+    // No fill attempts: prepared faults only move the counters.
+    {
+        const Netlist nl = makeCircuit("s641", lib());
+        TransitionAtpgConfig cfg;
+        cfg.random_pairs = 4;
+        cfg.justify_retries = 0;
+        cfg.podem.max_backtracks = 60;
+        for (const TestApplication style : {TestApplication::EnhancedScan,
+                                            TestApplication::SkewedLoad,
+                                            TestApplication::Broadside})
+            expectThreadInvariant(nl, style, cfg, {2, 4});
     }
 }
 
