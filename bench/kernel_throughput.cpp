@@ -1,7 +1,8 @@
 // Engineering throughput benchmarks (google-benchmark) for the simulation
 // and analysis kernels underlying every experiment: event-driven logic
-// simulation, parallel-pattern fault simulation, STA, power analysis, and
-// the analog transient stepper.
+// simulation, parallel-pattern fault simulation, STA, power analysis, the
+// Tables I-IV evaluation layer (evaluateDft, optimizeFanout), and the analog
+// transient stepper.
 // Besides the console output, every run exports
 // BENCH_kernel_throughput.json — per-benchmark repetition statistics
 // (median/min/IQR real time and faults/sec over >= 5 measured reps after 1
@@ -11,6 +12,8 @@
 // output directory honors --out / FLH_BENCH_OUT.
 #include "bench_util.hpp"
 #include "analog/flh_chain.hpp"
+#include "dft/design.hpp"
+#include "dft/fanout_opt.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/parallel_sim.hpp"
 #include "obs/telemetry.hpp"
@@ -264,6 +267,31 @@ void BM_NormalPower(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 20 * 64);
 }
 BENCHMARK(BM_NormalPower)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Tables I-III: evaluateDft of all three holding styles on s5378 (STA with
+// and without each overlay, one switching simulation per style).
+void BM_EvaluateDft(benchmark::State& state) {
+    const Netlist& nl = circuitFor(state);
+    const PowerConfig cfg = powerConfigFor(nl.name());
+    for (auto _ : state) {
+        for (const HoldStyle style : {HoldStyle::EnhancedScan, HoldStyle::MuxHold, HoldStyle::Flh})
+            benchmark::DoNotOptimize(evaluateDft(nl, planDft(nl, style), cfg).power_uw);
+    }
+}
+BENCHMARK(BM_EvaluateDft)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// Table IV: optimizeFanout on a fresh copy of s5378 each iteration (the
+// copy is not timed).
+void BM_FanoutOpt(benchmark::State& state) {
+    const Netlist& base = circuitFor(state);
+    for (auto _ : state) {
+        state.PauseTiming();
+        Netlist nl = base;
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(optimizeFanout(nl).ffs_optimized);
+    }
+}
+BENCHMARK(BM_FanoutOpt)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_AnalogTransient(benchmark::State& state) {
     ChainConfig cfg;

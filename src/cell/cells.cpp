@@ -62,6 +62,9 @@ CellId Library::add(Cell cell) {
     for (const Cell& c : cells_) {
         if (c.name == cell.name) throw std::invalid_argument("duplicate cell name: " + cell.name);
     }
+    std::vector<double>& pins = pin_cap_ff_.emplace_back();
+    for (int p = 0; p < cell.n_inputs; ++p) pins.push_back(cell.pinCapFf(tech_, p));
+    output_parasitic_ff_.push_back(cell.outputParasiticFf(tech_));
     cells_.push_back(std::move(cell));
     return static_cast<CellId>(cells_.size() - 1);
 }

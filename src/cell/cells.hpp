@@ -103,11 +103,22 @@ public:
 
     [[nodiscard]] const Tech& tech() const noexcept { return tech_; }
 
-    /// Add a cell; returns its id. Names must be unique.
+    /// Add a cell; returns its id. Names must be unique. Tabulates the
+    /// cell's pin and output capacitances (Cell::pinCapFf /
+    /// outputParasiticFf) for the lookups below.
     CellId add(Cell cell);
 
     [[nodiscard]] const Cell& cell(CellId id) const { return cells_.at(id); }
     [[nodiscard]] std::size_t size() const noexcept { return cells_.size(); }
+
+    /// Tabulated Cell::pinCapFf of input `pin` (< n_inputs) of cell `id`.
+    [[nodiscard]] double pinCapFf(CellId id, int pin) const noexcept {
+        return pin_cap_ff_[id][static_cast<std::size_t>(pin)];
+    }
+    /// Tabulated Cell::outputParasiticFf of cell `id`.
+    [[nodiscard]] double outputParasiticFf(CellId id) const noexcept {
+        return output_parasitic_ff_[id];
+    }
 
     /// Cell implementing `fn` with `n_inputs` inputs; throws if absent.
     [[nodiscard]] CellId find(CellFn fn, int n_inputs) const;
@@ -119,6 +130,8 @@ public:
 private:
     Tech tech_;
     std::vector<Cell> cells_;
+    std::vector<std::vector<double>> pin_cap_ff_;
+    std::vector<double> output_parasitic_ff_;
 };
 
 /// Build the default 70 nm-like library with INV/BUF, NAND2-4, NOR2-4,

@@ -1,5 +1,6 @@
 #include "dft/design.hpp"
 
+#include "obs/telemetry.hpp"
 #include "util/json.hpp"
 
 #include <stdexcept>
@@ -129,6 +130,8 @@ PowerOverlay makePowerOverlay(const Netlist& nl, const DftDesign& d) {
 }
 
 DftEvaluation evaluateDft(const Netlist& nl, const DftDesign& d, const PowerConfig& power_cfg) {
+    static obs::Counter& c_power_sims = obs::counter("dft.power_sims");
+    obs::ScopedSpan span("dft:evaluate", "dft");
     DftEvaluation e;
     e.style = d.style;
 
@@ -142,8 +145,11 @@ DftEvaluation evaluateDft(const Netlist& nl, const DftDesign& d, const PowerConf
     e.delay_ps = with_t.critical_delay_ps;
     e.delay_increase_pct = 100.0 * (e.delay_ps - e.base_delay_ps) / e.base_delay_ps;
 
-    const PowerResult base_p = measureNormalPower(nl, {}, power_cfg);
-    const PowerResult with_p = measureNormalPower(nl, makePowerOverlay(nl, d), power_cfg);
+    // Overlays never reach the simulation, so one activity record serves both.
+    const SwitchingActivity activity = simulateSwitching(nl, power_cfg);
+    c_power_sims.add();
+    const PowerResult base_p = powerFromSwitching(nl, activity);
+    const PowerResult with_p = powerFromSwitching(nl, activity, makePowerOverlay(nl, d));
     e.base_power_uw = base_p.totalUw();
     e.power_uw = with_p.totalUw();
     e.power_increase_pct = 100.0 * (e.power_uw - e.base_power_uw) / e.base_power_uw;

@@ -77,7 +77,9 @@ struct DftEvaluation {
     void writeJson(JsonWriter& w) const;
 };
 
-/// Full area/delay/power evaluation of one style on a scanned netlist.
+/// Full area/delay/power evaluation of one style on a scanned netlist: two
+/// STA passes (without and with the overlay) and one switching simulation
+/// whose activity prices both the base and the DFT power overlay.
 [[nodiscard]] DftEvaluation evaluateDft(const Netlist& nl, const DftDesign& d,
                                         const PowerConfig& power_cfg = {});
 

@@ -1,5 +1,6 @@
 #include "dft/fanout_opt.hpp"
 
+#include "obs/telemetry.hpp"
 #include "sta/timing.hpp"
 
 #include <algorithm>
@@ -39,21 +40,27 @@ GateId findExistingInverter(const Netlist& nl, NetId q) {
 } // namespace
 
 FanoutOptResult optimizeFanout(Netlist& nl, const FanoutOptConfig& cfg) {
+    static obs::Counter& c_retimes = obs::counter("dft.fanout_opt.retimes");
+    obs::ScopedSpan span("dft:fanout_opt", "dft");
     const Tech& t = nl.library().tech();
     const Library& lib = nl.library();
     const Cell& inv = lib.cell(lib.find(CellFn::Inv, 1));
 
     FanoutOptResult res;
     res.first_level_before = nl.uniqueFirstLevelGates().size();
-    res.delay_before_ps = runSta(nl).critical_delay_ps;
+    // STA is a pure function of the netlist: re-time only after a move.
+    TimingResult sta = runSta(nl);
+    c_retimes.add();
+    res.delay_before_ps = sta.critical_delay_ps;
 
     // Process FFs in descending comb-fanout order (the paper targets "scan
-    // flip flops with higher fanouts" first).
+    // flip flops with higher fanouts" first). The keys are taken on the
+    // netlist as it stands before any move.
     std::vector<GateId> ffs = nl.flipFlops();
-    std::stable_sort(ffs.begin(), ffs.end(), [&](GateId a, GateId b) {
-        return combReceivers(nl, nl.gate(a).output).size() >
-               combReceivers(nl, nl.gate(b).output).size();
-    });
+    std::vector<std::size_t> n_receivers(nl.gateCount());
+    for (const GateId ff : ffs) n_receivers[ff] = combReceivers(nl, nl.gate(ff).output).size();
+    std::stable_sort(ffs.begin(), ffs.end(),
+                     [&](GateId a, GateId b) { return n_receivers[a] > n_receivers[b]; });
 
     int name_seq = 0;
     for (const GateId ff : ffs) {
@@ -61,7 +68,6 @@ FanoutOptResult optimizeFanout(Netlist& nl, const FanoutOptConfig& cfg) {
         const auto receivers = combReceivers(nl, q);
         if (static_cast<int>(receivers.size()) < cfg.min_fanout) continue;
 
-        const TimingResult sta = runSta(nl);
         const GateId reuse_inv = findExistingInverter(nl, q);
 
         // Estimate the rebuffer penalty: two inverter stages (or one if an
@@ -146,11 +152,13 @@ FanoutOptResult optimizeFanout(Netlist& nl, const FanoutOptConfig& cfg) {
 
         res.inverters_added += static_cast<std::size_t>(added_inv);
         ++res.ffs_optimized;
+        sta = runSta(nl);
+        c_retimes.add();
     }
 
     nl.check();
     res.first_level_after = nl.uniqueFirstLevelGates().size();
-    res.delay_after_ps = runSta(nl).critical_delay_ps;
+    res.delay_after_ps = sta.critical_delay_ps;
     return res;
 }
 

@@ -12,6 +12,12 @@
 // The optimizer only moves fanout pins whose downstream slack covers the
 // added buffer delay, so the critical path is provably untouched
 // ("maximum circuit delay is kept unaltered").
+//
+// Cost: the FF order is fixed once, by receiver count on the input netlist.
+// STA runs once up front and again only after an accepted move; a rejected
+// FF leaves the netlist, and so its timing, unchanged. A run therefore costs
+// ffs_optimized + 1 STA passes (counter `dft.fanout_opt.retimes`), and the
+// last one gives delay_after_ps.
 #pragma once
 
 #include "cell/dft_cells.hpp"

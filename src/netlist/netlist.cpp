@@ -56,12 +56,8 @@ GateId Netlist::addDff(NetId d, NetId q) { return addGate(CellFn::Dff, {d}, q); 
 
 void Netlist::rewireInput(GateId gate, int pin, NetId net) {
     Gate& g = gates_.at(gate);
+    if (net >= nets_.size()) throw std::out_of_range("rewireInput: bad net");
     g.inputs.at(static_cast<std::size_t>(pin)) = net;
-    invalidateCaches();
-}
-
-void Netlist::setDriver(NetId net, GateId g) {
-    nets_.at(net).driver = g;
     invalidateCaches();
 }
 
@@ -102,7 +98,14 @@ const std::vector<PinRef>& Netlist::fanout(NetId net) const {
 }
 
 void Netlist::buildFanout() const {
+    // Count first so every list is allocated once, at its exact size. The
+    // old lists are freed before the new ones are allocated, which keeps
+    // the heap compact across the many rebuilds of optimizeFanout.
+    std::vector<std::uint32_t> count(nets_.size(), 0);
+    for (const Gate& gate : gates_)
+        for (const NetId in : gate.inputs) ++count[in];
     fanout_.assign(nets_.size(), {});
+    for (NetId n = 0; n < nets_.size(); ++n) fanout_[n].reserve(count[n]);
     for (GateId g = 0; g < gates_.size(); ++g) {
         const Gate& gate = gates_[g];
         for (int pin = 0; pin < static_cast<int>(gate.inputs.size()); ++pin)
@@ -182,16 +185,14 @@ double Netlist::totalAreaUm2() const {
 }
 
 double Netlist::netCapFf(NetId net) const {
-    const Tech& t = lib_->tech();
+    const double c_wire = lib_->tech().c_wire_ff_per_fanout;
     double cap = 0.0;
     for (const PinRef& pr : fanout(net)) {
-        const Gate& g = gates_[pr.gate];
-        cap += lib_->cell(g.cell).pinCapFf(t, pr.pin);
-        cap += t.c_wire_ff_per_fanout;
+        cap += lib_->pinCapFf(gates_[pr.gate].cell, pr.pin);
+        cap += c_wire;
     }
     const Net& n = nets_[net];
-    if (n.driver != kInvalidId)
-        cap += lib_->cell(gates_[n.driver].cell).outputParasiticFf(t);
+    if (n.driver != kInvalidId) cap += lib_->outputParasiticFf(gates_[n.driver].cell);
     return cap;
 }
 

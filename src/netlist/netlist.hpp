@@ -61,11 +61,8 @@ public:
     GateId addDff(NetId d, NetId q);
 
     /// Rewire input pin `pin` of `gate` to `net`. Invalidates caches.
+    /// Throws std::out_of_range on a bad gate, pin or net.
     void rewireInput(GateId gate, int pin, NetId net);
-
-    /// Change the driver of net `out` to gate `g` (used by transforms that
-    /// splice elements into an existing net).
-    void setDriver(NetId net, GateId g);
 
     /// Replace gate `g` with a new function and input list, keeping its
     /// output net (used by scan insertion: DFF -> SDFF). The sequential /
@@ -107,7 +104,7 @@ public:
     [[nodiscard]] double totalAreaUm2() const;
 
     /// Capacitance on `net` (fF): receiver pin caps + driver output
-    /// diffusion + per-fanout wire cap.
+    /// diffusion + per-fanout wire cap, read from the library's tables.
     [[nodiscard]] double netCapFf(NetId net) const;
 
     /// The *unique first level gates*: de-duplicated set of combinational

@@ -37,10 +37,7 @@ std::uint64_t bernoulliMask(Rng& rng, double p) {
 
 } // namespace
 
-PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
-                               const PowerConfig& cfg) {
-    const Tech& t = nl.library().tech();
-    const Library& lib = nl.library();
+SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg) {
     Rng rng(cfg.seed);
 
     SequentialSim seq(nl);
@@ -74,11 +71,18 @@ PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
         seq.settle();
     }
 
-    const double sampled_cycles = static_cast<double>(cfg.n_vectors) * 64.0;
+    return {sim.toggleCounts(), static_cast<double>(cfg.n_vectors) * 64.0};
+}
+
+PowerResult powerFromSwitching(const Netlist& nl, const SwitchingActivity& activity,
+                               const PowerOverlay& ov) {
+    const Tech& t = nl.library().tech();
+    const Library& lib = nl.library();
+    const std::vector<std::uint64_t>& toggles = activity.toggles;
+    const double sampled_cycles = activity.sampled_cycles;
 
     PowerResult res;
     double energy_fj = 0.0;
-    const auto& toggles = sim.toggleCounts();
     for (NetId n = 0; n < nl.netCount(); ++n) {
         if (toggles[n] == 0) continue;
         res.toggles += toggles[n];
@@ -113,6 +117,11 @@ PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
     }
     res.leakage_uw = leak_nw * 1e-3;
     return res;
+}
+
+PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov,
+                               const PowerConfig& cfg) {
+    return powerFromSwitching(nl, simulateSwitching(nl, cfg), ov);
 }
 
 ScanShiftPowerResult measureScanShiftPower(const Netlist& nl, HoldStyle style, int n_patterns,

@@ -11,6 +11,13 @@
 //                        (FLH's ON sleep pair reduces first-level gate leakage
 //                        by the active stacking factor)
 // DFT hardware contributes through a PowerOverlay built by the dft module.
+//
+// The measurement is two steps: simulateSwitching() runs the vectors and
+// records per-net toggle counts; powerFromSwitching() turns those counts
+// into power under an overlay. Overlays only add capacitance and scale
+// leakage, they never change the logic, so one simulation serves every
+// overlay of the same netlist and configuration (evaluateDft accounts the
+// base and the DFT overlay from one activity record).
 #pragma once
 
 #include "netlist/netlist.hpp"
@@ -18,6 +25,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 namespace flh {
 
@@ -79,7 +87,21 @@ struct PowerConfig {
     double ff_hold_prob = 0.0;
 };
 
-/// Normal-mode power: sequential simulation of random vectors.
+/// Switching activity of one normal-mode simulation.
+struct SwitchingActivity {
+    std::vector<std::uint64_t> toggles; ///< per NetId, summed over all 64 slots
+    double sampled_cycles = 0.0;        ///< n_vectors * 64 sampled clock cycles
+};
+
+/// Sequential simulation of `cfg.n_vectors` random vectors, counting toggles.
+[[nodiscard]] SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg = {});
+
+/// Power of `nl` with DFT overlay `ov` under the recorded activity.
+[[nodiscard]] PowerResult powerFromSwitching(const Netlist& nl,
+                                             const SwitchingActivity& activity,
+                                             const PowerOverlay& ov = {});
+
+/// Normal-mode power: powerFromSwitching(nl, simulateSwitching(nl, cfg), ov).
 [[nodiscard]] PowerResult measureNormalPower(const Netlist& nl, const PowerOverlay& ov = {},
                                              const PowerConfig& cfg = {});
 

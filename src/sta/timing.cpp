@@ -24,6 +24,7 @@ TimingResult runSta(const Netlist& nl, const TimingOverlay& ov,
     };
 
     TimingResult res;
+    std::vector<double> delay_ps(nl.gateCount(), 0.0); // forward pass, reused backward
     res.arrival_ps.assign(nl.netCount(), 0.0);
     res.required_ps.assign(nl.netCount(), 0.0);
     std::vector<NetId> pred(nl.netCount(), kInvalidId);
@@ -52,7 +53,8 @@ TimingResult runSta(const Netlist& nl, const TimingOverlay& ov,
             }
         }
         const NetId out = gate.output;
-        res.arrival_ps[out] = worst + gd(g);
+        delay_ps[g] = gd(g);
+        res.arrival_ps[out] = worst + delay_ps[g];
         pred[out] = worst_in;
         levels_from_source[out] = (worst_in == kInvalidId ? 0 : levels_from_source[worst_in]) + 1;
     }
@@ -77,7 +79,7 @@ TimingResult runSta(const Netlist& nl, const TimingOverlay& ov,
     const auto& topo = nl.topoOrder();
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
         const Gate& gate = nl.gate(*it);
-        const double req_at_inputs = res.required_ps[gate.output] - gd(*it);
+        const double req_at_inputs = res.required_ps[gate.output] - delay_ps[*it];
         for (const NetId in : gate.inputs)
             res.required_ps[in] = std::min(res.required_ps[in], req_at_inputs);
     }

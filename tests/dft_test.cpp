@@ -3,11 +3,15 @@
 #include "dft/fanout_opt.hpp"
 #include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
+#include "netlist/bench_io.hpp"
+#include "obs/telemetry.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <numeric>
 
 namespace flh {
@@ -158,6 +162,96 @@ TEST(DftDesign, EvaluateIsSelfConsistent) {
                 100.0 * (e.delay_ps - e.base_delay_ps) / e.base_delay_ps, 1e-9);
 }
 
+/// Every figure of a DftEvaluation, in declaration order.
+std::array<double, 9> evaluationFields(const DftEvaluation& e) {
+    return {e.base_area_um2, e.dft_area_um2, e.area_increase_pct,
+            e.base_delay_ps, e.delay_ps,     e.delay_increase_pct,
+            e.base_power_uw, e.power_uw,     e.power_increase_pct};
+}
+
+std::string hexFloat(double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+struct PinnedEvaluation {
+    const char* circuit;
+    HoldStyle style;
+    std::array<double, 9> fields;
+};
+
+TEST(DftDesign, EvaluationIsStable) {
+    // Evaluation-layer speedups must not move a single bit of Tables I-III.
+    // Recorded before the switching simulation was shared across overlays.
+    const PinnedEvaluation pinned[] = {
+        {"s298", HoldStyle::EnhancedScan,
+         {0x1.3e4dd2f1a9fbfp+4, 0x1.2a8c154c985f1p+2, 0x1.772c234f72c24p+4,
+          0x1.6fbeb851eb852p+9, 0x1.909b333333334p+9, 0x1.1df2b986dd9a2p+3,
+          0x1.76b796bfca86p+4, 0x1.840f315d701dep+4, 0x1.c7c1f433ce39ap+1}},
+        {"s298", HoldStyle::MuxHold,
+         {0x1.3e4dd2f1a9fbfp+4, 0x1.fdd031055b89ap+1, 0x1.4054bead054bep+4,
+          0x1.6fbeb851eb852p+9, 0x1.9b14f1578300cp+9, 0x1.791a659c231c4p+3,
+          0x1.76b796bfca86p+4, 0x1.820e0fe77eaa1p+4, 0x1.8349df114fb7dp+1}},
+        {"s298", HoldStyle::Flh,
+         {0x1.3e4dd2f1a9fbfp+4, 0x1.0ce978d4fdf3cp+2, 0x1.51ee58469ee59p+4,
+          0x1.6fbeb851eb852p+9, 0x1.77efda8d04f94p+9, 0x1.1d225c9847c93p+1,
+          0x1.76b796bfca86p+4, 0x1.77651681f7919p+4, 0x1.726924a1dc0d7p-3}},
+        {"s641", HoldStyle::EnhancedScan,
+         {0x1.bf81d7dbf488cp+5, 0x1.952bd3c361135p+2, 0x1.6a288b365b7d8p+3,
+          0x1.20df0a3d70a3fp+11, 0x1.2ab628f5c28f6p+11, 0x1.b4073594cc2e4p+1,
+          0x1.0dfa1a7c17a86p+6, 0x1.147ff97247451p+6, 0x1.354301929a665p+1}},
+        {"s641", HoldStyle::MuxHold,
+         {0x1.bf81d7dbf488cp+5, 0x1.59f1d81f10668p+2, 0x1.353826bff4843p+3,
+          0x1.20df0a3d70a3fp+11, 0x1.2d8802ec242c8p+11, 0x1.187c5dc89703dp+2,
+          0x1.0dfa1a7c17a86p+6, 0x1.137fccaf0ff84p+6, 0x1.05d1626518fe8p+1}},
+        {"s641", HoldStyle::Flh,
+         {0x1.bf81d7dbf488cp+5, 0x1.3585f06f69445p+2, 0x1.14aa1194b86b1p+3,
+          0x1.20df0a3d70a3fp+11, 0x1.23564b7bc1f9ap+11, 0x1.b50c9d862b351p-1,
+          0x1.0dfa1a7c17a86p+6, 0x1.0fea1758009cep+6, 0x1.6f6dfe74522bfp-1}},
+        {"s1423", HoldStyle::EnhancedScan,
+         {0x1.bb6425aee6343p+6, 0x1.8a8240b780348p+4, 0x1.63e6bde3b57c6p+4,
+          0x1.d11a666666666p+11, 0x1.da64b851eb852p+11, 0x1.ff5a6f5c00f3p+0,
+          0x1.10b1b47735c14p+7, 0x1.1f90c068db8b9p+7, 0x1.5d058b0911c0ep+2}},
+        {"s1423", HoldStyle::MuxHold,
+         {0x1.bb6425aee6343p+6, 0x1.50d744f5d3566p+4, 0x1.2fe07ebe6ec27p+4,
+          0x1.d11a666666666p+11, 0x1.dd252b4ea12p+11, 0x1.4b6834f7befc2p+1,
+          0x1.10b1b47735c14p+7, 0x1.1d44b5e51efep+7, 0x1.271c80ee46e27p+2}},
+        {"s1423", HoldStyle::Flh,
+         {0x1.bb6425aee6343p+6, 0x1.2704ea4a8c153p+4, 0x1.0a25e32a6fc16p+4,
+          0x1.d11a666666666p+11, 0x1.d29acc3700e0ap+11, 0x1.4a9764ee245dfp-2,
+          0x1.10b1b47735c14p+7, 0x1.1374b4e8e8362p+7, 0x1.0343f46309b57p+0}},
+    };
+    for (const PinnedEvaluation& p : pinned) {
+        const Netlist nl = scanned(p.circuit);
+        const CircuitSpec& spec = findCircuit(p.circuit);
+        PowerConfig pc;
+        pc.ff_hold_prob = spec.ff_hold_prob;
+        pc.pi_toggle_prob = spec.piToggleProb();
+        const DftEvaluation e = evaluateDft(nl, planDft(nl, p.style), pc);
+        EXPECT_EQ(e.style, p.style);
+        const std::array<double, 9> got = evaluationFields(e);
+        std::string literal;
+        for (const double v : got) literal += hexFloat(v) + ", ";
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i], p.fields[i]) << p.circuit << " " << toString(p.style) << " field "
+                                           << i << "; got {" << literal << "}";
+    }
+}
+
+TEST(DftDesign, EvaluateSimulatesSwitchingOnce) {
+    // The base and DFT overlays are accounted from one activity record.
+    const Netlist nl = scanned("s298");
+    obs::reset();
+    obs::setEnabled(true);
+    for (const HoldStyle style : {HoldStyle::EnhancedScan, HoldStyle::MuxHold, HoldStyle::Flh})
+        (void)evaluateDft(nl, planDft(nl, style), {20, 5});
+    obs::setEnabled(false);
+    EXPECT_EQ(obs::counter("dft.power_sims").value(), 3u);
+    EXPECT_NE(obs::traceJson().find("\"dft:evaluate\""), std::string::npos);
+    obs::reset();
+}
+
 TEST(OverheadImprovement, Formula) {
     EXPECT_DOUBLE_EQ(overheadImprovementPct(10.0, 3.0), 70.0);
     EXPECT_DOUBLE_EQ(overheadImprovementPct(0.0, 3.0), 0.0);
@@ -208,6 +302,74 @@ TEST(FanoutOpt, NoOpOnLowFanoutCircuit) {
     Netlist nl = scanned("s386"); // ratio 1.0: nothing to merge
     const FanoutOptResult r = optimizeFanout(nl);
     EXPECT_EQ(r.first_level_after, r.first_level_before);
+}
+
+/// FNV-1a over a string.
+std::uint64_t fnv1a(const std::string& s) {
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+struct PinnedFanoutOpt {
+    const char* circuit;
+    std::uint64_t bench_digest; ///< writeBenchString of the rewired netlist
+    std::size_t ffs_optimized;
+    std::size_t inverters_added;
+    std::size_t first_level_before;
+    std::size_t first_level_after;
+    double delay_before_ps;
+    double delay_after_ps;
+};
+
+TEST(FanoutOpt, OptimizedNetlistIsStable) {
+    // Re-timing shortcuts must not change which FFs are rebuffered or
+    // which pins move. Recorded before STA was skipped for rejected FFs.
+    const PinnedFanoutOpt pinned[] = {
+        {"s298", 0x7fba5443794a2e39ULL, 9, 13, 35, 21,
+         0x1.6fbeb851eb852p+9, 0x1.62b1eb851eb86p+9},
+        {"s838", 0xecac4b7b56bc2ee0ULL, 24, 45, 96, 52,
+         0x1.7420000000001p+10, 0x1.6c06666666669p+10},
+        {"s1423", 0xe54de7d2ac006de6ULL, 43, 73, 155, 87,
+         0x1.d11a666666666p+11, 0x1.cc5547ae147aep+11},
+        {"s5378", 0x34cac35613f8a887ULL, 23, 45, 204, 177,
+         0x1.21f0f5c28f5c4p+11, 0x1.21f0f5c28f5c4p+11},
+    };
+    for (const PinnedFanoutOpt& p : pinned) {
+        Netlist nl = scanned(p.circuit);
+        const FanoutOptResult r = optimizeFanout(nl);
+        const std::uint64_t digest = fnv1a(writeBenchString(nl));
+        char got[160];
+        std::snprintf(got, sizeof got, "{\"%s\", 0x%016llxULL, %zu, %zu, %zu, %zu, %a, %a}",
+                      p.circuit, static_cast<unsigned long long>(digest), r.ffs_optimized,
+                      r.inverters_added, r.first_level_before, r.first_level_after,
+                      r.delay_before_ps, r.delay_after_ps);
+        EXPECT_EQ(digest, p.bench_digest) << got;
+        EXPECT_EQ(r.ffs_optimized, p.ffs_optimized) << got;
+        EXPECT_EQ(r.inverters_added, p.inverters_added) << got;
+        EXPECT_EQ(r.first_level_before, p.first_level_before) << got;
+        EXPECT_EQ(r.first_level_after, p.first_level_after) << got;
+        EXPECT_EQ(r.delay_before_ps, p.delay_before_ps) << got;
+        EXPECT_EQ(r.delay_after_ps, p.delay_after_ps) << got;
+    }
+}
+
+TEST(FanoutOpt, RetimesOncePerAcceptedMove) {
+    // One STA up front, one after each applied move; rejected FFs leave the
+    // netlist, and so its timing, untouched.
+    for (const char* name : {"s838", "s386"}) {
+        Netlist nl = scanned(name);
+        obs::reset();
+        obs::setEnabled(true);
+        const FanoutOptResult r = optimizeFanout(nl);
+        obs::setEnabled(false);
+        EXPECT_EQ(obs::counter("dft.fanout_opt.retimes").value(), r.ffs_optimized + 1) << name;
+        EXPECT_NE(obs::traceJson().find("\"dft:fanout_opt\""), std::string::npos) << name;
+        obs::reset();
+    }
 }
 
 // ---------------------------------------------------------- chain ordering

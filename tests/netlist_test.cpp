@@ -1,7 +1,9 @@
 #include "cell/logic.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/netlist.hpp"
+#include "dft/fanout_opt.hpp"
 #include "dft/scan.hpp"
+#include "iscas/circuits.hpp"
 
 #include <gtest/gtest.h>
 
@@ -68,6 +70,18 @@ TEST(Netlist, FanoutTracksRewire) {
     nl.rewireInput(nor, 1, a);
     EXPECT_EQ(nl.fanout(a).size(), 2u);
     EXPECT_TRUE(nl.fanout(b).empty());
+}
+
+TEST(Netlist, RewireToBadNetRejected) {
+    Netlist nl = tiny();
+    const GateId nor = nl.net(*nl.findNet("d")).driver;
+    const NetId b = *nl.findNet("b");
+    EXPECT_THROW(nl.rewireInput(nor, 1, static_cast<NetId>(nl.netCount())), std::out_of_range);
+    EXPECT_THROW(nl.rewireInput(nor, 1, kInvalidId), std::out_of_range);
+    // The rejected call left the netlist untouched.
+    EXPECT_EQ(nl.gate(nor).inputs[1], b);
+    EXPECT_EQ(nl.fanout(b).size(), 1u);
+    EXPECT_NO_THROW(nl.check());
 }
 
 TEST(Netlist, TopoOrderRespectsDependencies) {
@@ -360,6 +374,30 @@ TEST(Netlist, NetCapGrowsWithFanout) {
     nl.addGate(CellFn::Inv, {a}, y2);
     nl.markPo(y2);
     EXPECT_GT(nl.netCapFf(a), one);
+}
+
+TEST(Netlist, NetCapMatchesCellFormula) {
+    // netCapFf reads per-cell tables; they must reproduce the transistor
+    // formulas bit for bit, on the scanned netlist and after fanout
+    // optimization has rewired pins and added inverters.
+    Netlist nl = makeCircuit("s5378", lib());
+    insertScan(nl);
+    const Tech& t = lib().tech();
+    const auto expectFormula = [&](const char* when) {
+        for (NetId n = 0; n < nl.netCount(); ++n) {
+            double cap = 0.0;
+            for (const PinRef& pr : nl.fanout(n)) {
+                cap += lib().cell(nl.gate(pr.gate).cell).pinCapFf(t, pr.pin);
+                cap += t.c_wire_ff_per_fanout;
+            }
+            if (const GateId drv = nl.net(n).driver; drv != kInvalidId)
+                cap += lib().cell(nl.gate(drv).cell).outputParasiticFf(t);
+            ASSERT_EQ(nl.netCapFf(n), cap) << when << " net " << nl.net(n).name;
+        }
+    };
+    expectFormula("scanned");
+    ASSERT_GT(optimizeFanout(nl).ffs_optimized, 0u);
+    expectFormula("after optimizeFanout");
 }
 
 TEST(Netlist, CopyIsIndependent) {
