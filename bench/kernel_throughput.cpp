@@ -1,8 +1,8 @@
 // Engineering throughput benchmarks (google-benchmark) for the simulation
 // and analysis kernels underlying every experiment: event-driven logic
-// simulation, parallel-pattern fault simulation, STA, power analysis, the
-// Tables I-IV evaluation layer (evaluateDft, optimizeFanout), and the analog
-// transient stepper.
+// simulation, parallel-pattern fault simulation, PODEM test generation,
+// STA, power analysis, the Tables I-IV evaluation layer (evaluateDft,
+// optimizeFanout), and the analog transient stepper.
 // Besides the console output, every run exports
 // BENCH_kernel_throughput.json — per-benchmark repetition statistics
 // (median/min/IQR real time and faults/sec over >= 5 measured reps after 1
@@ -12,6 +12,7 @@
 // output directory honors --out / FLH_BENCH_OUT.
 #include "bench_util.hpp"
 #include "analog/flh_chain.hpp"
+#include "atpg/podem.hpp"
 #include "dft/design.hpp"
 #include "dft/fanout_opt.hpp"
 #include "fault/fault_sim.hpp"
@@ -248,6 +249,24 @@ BENCHMARK(BM_NDetectProfileThreads)
     ->Args({1, 1})
     ->Args({1, 0})
     ->Unit(benchmark::kMillisecond);
+
+// PODEM's search step cost: serial Podem::generate (default 300-backtrack
+// limit) over every 16th collapsed stuck-at fault of s1423, aborts
+// included — the top-off's per-fault work without the grading.
+void BM_PodemGenerate(benchmark::State& state) {
+    const Netlist& nl = circuitFor(state);
+    const std::vector<FaultSite> all = collapsedStuckAtFaults(nl);
+    std::vector<FaultSite> faults;
+    for (std::size_t i = 0; i < all.size(); i += 16) faults.push_back(all[i]);
+    Podem podem(nl);
+    Pattern p;
+    for (auto _ : state) {
+        for (const FaultSite& f : faults) benchmark::DoNotOptimize(podem.generate(f, p));
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(faults.size()));
+}
+BENCHMARK(BM_PodemGenerate)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Sta(benchmark::State& state) {
     const Netlist& nl = circuitFor(state);

@@ -10,9 +10,12 @@
 // word-packed PackedSim at every --words width vs the same reference,
 // SequentialSim::clock vs the nextState oracle, the scalar serial engine vs
 // fault simulation at every --threads count x --words width (bitmaps and
-// n-detect counts), and the paper's Fig. 5b two-pattern protocol under
-// enhanced scan / MUX-hold / FLH vs direct evaluation. Any mismatch is greedily shrunk to a small .bench +
-// .pairs reproducer under --corpus and the run exits non-zero.
+// n-detect counts), the paper's Fig. 5b two-pattern protocol under
+// enhanced scan / MUX-hold / FLH vs direct evaluation, and — on circuits with
+// at most 16 sources — PODEM's verdicts vs fault simulation and exhaustive
+// source enumeration (aborts are counted and printed, not failed). Any
+// mismatch is greedily shrunk to a small .bench + .pairs reproducer under
+// --corpus and the run exits non-zero.
 //
 // In --inject-mutant mode the FLH variant is deliberately corrupted (one gate
 // function flipped) and the exit codes invert: 0 means the checker caught the
@@ -147,7 +150,8 @@ int main(int argc, char** argv) {
 
         if (!common.quiet) {
             std::cout << rep.seeds_run << " seeds, " << rep.checks_run << " checks, "
-                      << rep.findings.size() << " findings\n";
+                      << rep.findings.size() << " findings, " << rep.podem_aborts
+                      << " PODEM aborts\n";
             for (const FuzzFinding& f : rep.findings) {
                 std::cout << "seed " << f.seed << " [" << f.check << "] " << f.detail << "\n";
                 if (!f.bench_path.empty())

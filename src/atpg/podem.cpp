@@ -1,11 +1,18 @@
 #include "atpg/podem.hpp"
 
+#include "obs/telemetry.hpp"
+
 #include <algorithm>
 #include <stdexcept>
 
 namespace flh {
 
-Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl) {
+Podem::Podem(const Netlist& nl, PodemConfig cfg)
+    : Podem(std::make_shared<const SimTables>(nl), cfg) {}
+
+Podem::Podem(std::shared_ptr<const SimTables> tables, PodemConfig cfg)
+    : nl_(tables->nl), cfg_(cfg), sim_(std::move(tables)) {
+    const Netlist& nl = *nl_;
     for (const NetId pi : nl.pis()) sources_.push_back(pi);
     for (const GateId ff : nl.flipFlops()) sources_.push_back(nl.gate(ff).output);
     frozen_.assign(nl.netCount(), Logic::X);
@@ -17,6 +24,7 @@ Podem::Podem(const Netlist& nl, PodemConfig cfg) : nl_(&nl), cfg_(cfg), sim_(nl)
     for (const NetId po : nl.pos()) is_obs_[po] = 1;
     for (const GateId ff : nl.flipFlops()) is_obs_[nl.gate(ff).inputs[0]] = 1;
     in_cone_.assign(nl.gateCount(), 0);
+    in_region_.assign(nl.gateCount(), 0);
 }
 
 void Podem::freeze(NetId net, Logic value) {
@@ -31,8 +39,36 @@ bool Podem::isSource(NetId n) const {
     return net.is_pi || (net.driver != kInvalidId && isSequential(nl_->gate(net.driver).fn));
 }
 
+void Podem::restrictToFanin(std::span<const NetId> seeds) {
+    region_.clear();
+    std::vector<NetId>& work = region_work_;
+    work.assign(seeds.begin(), seeds.end());
+    const SimTables& t = *sim_.tables();
+    while (!work.empty()) {
+        const GateId g = nl_->net(work.back()).driver;
+        work.pop_back();
+        // Primary inputs have no driver; flip-flop outputs are sources too.
+        if (g == kInvalidId || t.sequential[g] || in_region_[g]) continue;
+        in_region_[g] = 1;
+        region_.push_back(g);
+        for (const NetId in : t.inputs(g)) work.push_back(in);
+    }
+    for (const GateId g : region_) in_region_[g] = 0;
+}
+
+void Podem::flushCounters() const {
+    static obs::Counter& c_calls = obs::counter("podem.calls");
+    static obs::Counter& c_gate_evals = obs::counter("podem.gate_evals");
+    static obs::Counter& c_region_gates = obs::counter("podem.region_gates");
+    c_calls.add(1);
+    c_gate_evals.add(gate_evals_);
+    c_region_gates.add(region_.size());
+}
+
 void Podem::resetState() {
     sim_.reset();
+    sim_.restrictTo(region_);
+    gate_evals_ = 0;
     assigned_.assign(nl_->netCount(), Logic::X);
     stack_.clear();
     backtracks_ = 0;
@@ -43,13 +79,13 @@ void Podem::resetState() {
             sim_.setNet(s, PV::all(frozen_[s]));
         }
     }
-    sim_.propagate();
+    gate_evals_ += sim_.propagate();
 }
 
 void Podem::assignSource(NetId source, Logic v) {
     assigned_[source] = v;
     sim_.setNet(source, PV::all(v));
-    sim_.propagate();
+    gate_evals_ += sim_.propagate();
 }
 
 Logic Podem::goodValue(NetId n) const { return sim_.get(n).get(0); }
@@ -231,6 +267,12 @@ PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
     fault_active_ = true;
     fault_ = fault;
     buildCone(fault);
+    // The search reads the site, the cone's gates and inputs, and backtraces
+    // from those: all within the fanin of the site and the cone's outputs.
+    std::vector<NetId>& seeds = region_seeds_;
+    seeds.assign(1, fault.net);
+    for (const GateId g : cone_gates_) seeds.push_back(nl_->gate(g).output);
+    restrictToFanin(seeds);
     resetState();
 
     const Logic activate = fault.stuck_at_one ? Logic::Zero : Logic::One;
@@ -249,6 +291,7 @@ PodemOutcome Podem::generate(const FaultSite& fault, Pattern& out) {
 
     const PodemOutcome r = decisionLoop(goal, next_objective, out);
     fault_active_ = false;
+    flushCounters();
     return r;
 }
 
@@ -259,6 +302,11 @@ PodemOutcome Podem::justify(NetId net, Logic value, Pattern& out) {
 PodemOutcome Podem::justifyAll(const std::vector<std::pair<NetId, Logic>>& objectives,
                                Pattern& out) {
     fault_active_ = false;
+    // Goal, objectives and backtraces read only the objective nets' fanin.
+    std::vector<NetId>& seeds = region_seeds_;
+    seeds.clear();
+    for (const auto& [net, v] : objectives) seeds.push_back(net);
+    restrictToFanin(seeds);
     resetState();
 
     const auto goal = [&]() -> int {
@@ -278,7 +326,9 @@ PodemOutcome Podem::justifyAll(const std::vector<std::pair<NetId, Logic>>& objec
             if (goodValue(net) == Logic::X) return std::make_pair(net, v);
         return std::nullopt;
     };
-    return decisionLoop(goal, next_objective, out);
+    const PodemOutcome r = decisionLoop(goal, next_objective, out);
+    flushCounters();
+    return r;
 }
 
 } // namespace flh

@@ -1,5 +1,6 @@
 #include "atpg/transition_atpg.hpp"
 
+#include "fault/parallel_sim.hpp"
 #include "obs/telemetry.hpp"
 #include "util/exec_policy.hpp"
 
@@ -72,7 +73,8 @@ public:
     TopOff(const Netlist& nl, TestApplication style, std::span<const TransitionFault> faults,
            const TransitionAtpgConfig& cfg, TransitionAtpgResult& res, Rng& rng)
         : nl_(nl), style_(style), faults_(faults), cfg_(cfg), res_(res), rng_(rng),
-          podem_(nl, cfg.podem) {
+          tables_(std::make_shared<const SimTables>(nl)), podem_(tables_, cfg.podem),
+          grader_(tables_, 1) {
         for (std::size_t fi = 0; fi < faults.size(); ++fi) {
             if (res.coverage.detected_mask[fi]) continue;
             open_idx_.push_back(fi);
@@ -105,10 +107,14 @@ private:
     const TransitionAtpgConfig& cfg_;
     TransitionAtpgResult& res_;
     Rng& rng_;
+    /// Simulator tables shared by every Podem and the grader.
+    std::shared_ptr<const SimTables> tables_;
     Podem podem_; ///< the calling thread's: serial prepare, skewed-load commit
+    TransitionGrader grader_; ///< one-test grading, one word, calling thread only
     /// Still-undetected faults, ascending: what one-test grading covers.
     std::vector<std::size_t> open_idx_;
     std::vector<TransitionFault> open_faults_;
+    std::vector<std::uint8_t> hit_; ///< tryAddTest scratch: per open fault, detected
     /// Guards res_.coverage.detected_mask writes (commit) against the
     /// workers' claim-time reads.
     std::mutex mu_;
@@ -217,16 +223,25 @@ void TopOff::commit(std::size_t fi, const Prepared& p) {
 bool TopOff::tryAddTest(std::size_t fi, const TwoPattern& tp) {
     // Already-detected faults cannot change detected_mask, so grading
     // covers only the open ones. `fi` is open: commit runs only for those.
-    const TwoPattern one[1] = {tp};
-    const FaultSimResult hit = runTransitionFaultSim(nl_, one, open_faults_);
-    const auto pos = static_cast<std::size_t>(
-        std::lower_bound(open_idx_.begin(), open_idx_.end(), fi) - open_idx_.begin());
-    if (!hit.detected_mask[pos]) return false;
+    // Slot 0 of the grader's one word holds the test.
+    grader_.loadBlock({&tp.v1, 1}, {&tp.v2, 1}, 0, 1);
+    const auto detects = [&](const TransitionFault& tf) {
+        const std::uint64_t valid = 1;
+        std::uint64_t init_ok = 0;
+        std::uint64_t hit = 0;
+        return grader_.launchMask(tf, &valid, &init_ok) != 0 &&
+               grader_.detectMask(tf, &init_ok, &hit) != 0;
+    };
+    // A test that misses its target is rejected before the others are graded.
+    if (!detects(faults_[fi])) return false;
+    hit_.resize(open_idx_.size());
+    for (std::size_t j = 0; j < open_idx_.size(); ++j)
+        hit_[j] = open_idx_[j] == fi || detects(open_faults_[j]);
     std::size_t kept = 0;
     {
         const std::lock_guard lock(mu_);
         for (std::size_t j = 0; j < open_idx_.size(); ++j) {
-            if (hit.detected_mask[j]) {
+            if (hit_[j]) {
                 res_.coverage.detected_mask[open_idx_[j]] = true;
                 ++res_.coverage.detected;
             } else {
@@ -285,7 +300,7 @@ void TopOff::runParallel(const std::vector<std::size_t>& order, unsigned workers
             obs::ScopedSpan span(obs::enabled() ? "atpg:topoff:worker[" + std::to_string(w) + "]"
                                                 : std::string(),
                                  "atpg");
-            Podem podem(nl_, cfg_.podem);
+            Podem podem(tables_, cfg_.podem);
             std::unique_lock lock(mu_);
             for (;;) {
                 claim_cv.wait(lock, [&] {

@@ -159,14 +159,6 @@ void runPartitioned(const char* engine, std::size_t n, unsigned t, const Fn& wor
         if (e) std::rethrow_exception(e);
 }
 
-/// The Netlist builds fanout/topo/levels lazily into mutable caches; force
-/// them before spawning so workers only ever read.
-void warmCaches(const Netlist& nl) {
-    (void)nl.topoOrder();
-    (void)nl.levels();
-    if (nl.netCount()) (void)nl.fanout(0);
-}
-
 // ---- packed (word-parallel) engine helpers -------------------------------
 
 /// Effective packed width for a run: 0 keeps the scalar PatternSim engine;
@@ -250,7 +242,9 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
     res.detected_mask.assign(faults.size(), false);
     if (pats.empty() || faults.empty()) return res;
 
-    warmCaches(nl);
+    // One table set for every worker's simulators. Building it also forces
+    // the Netlist's lazily built fanout/topo caches, so workers only read.
+    const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
     DetectedBitmap det(faults.size());
     const unsigned W = effectiveWords(opts.words, pats.size());
     const unsigned threads = opts.resolveThreads(faults.size());
@@ -259,7 +253,7 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
             "stuck_at", faults.size(), threads,
             [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
                 if (lo == hi) return;
-                PackedSim sim(nl, W);
+                PackedSim sim(tables, W);
                 const std::vector<std::uint8_t> is_obs = observationFlags(nl);
                 std::uint64_t diff[kMaxPackedWords];
                 std::uint64_t validw[kMaxPackedWords];
@@ -302,7 +296,7 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
     runPartitioned("stuck_at", faults.size(), threads,
                    [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
                        if (lo == hi) return;
-                       PatternSim sim(nl);
+                       PatternSim sim(tables);
                        std::vector<PV> good;
                        std::vector<PV> faulty;
                        for (std::size_t base = 0; base < pats.size(); base += 64) {
@@ -365,7 +359,8 @@ struct TransitionWorkerState {
     std::vector<PV> good;
     std::vector<PV> faulty;
 
-    explicit TransitionWorkerState(const Netlist& nl) : sim_v1(nl), sim_v2(nl) {}
+    explicit TransitionWorkerState(const std::shared_ptr<const SimTables>& tables)
+        : sim_v1(tables), sim_v2(tables) {}
 
     void loadBatch(std::span<const Pattern> v1s, std::span<const Pattern> v2s,
                    std::size_t base, std::size_t count) {
@@ -391,58 +386,45 @@ struct TransitionWorkerState {
     }
 };
 
-/// Word-packed variant of TransitionWorkerState: same V1-launch / V2-detect
-/// split, per word. Detection runs against the V2 machine's undo log
-/// (PackedSim::faultDiffOnto) instead of good/faulty observation snapshots.
-struct PackedTransitionState {
-    PackedSim sim_v1;
-    PackedSim sim_v2;
-    std::vector<std::uint8_t> is_obs;
-
-    PackedTransitionState(const Netlist& nl, unsigned words)
-        : sim_v1(nl, words), sim_v2(nl, words), is_obs(observationFlags(nl)) {}
-
-    void loadBlock(std::span<const Pattern> v1s, std::span<const Pattern> v2s, std::size_t base,
-                   std::size_t count) {
-        loadPatternsPacked(sim_v1, v1s, base, count);
-        loadPatternsPacked(sim_v2, v2s, base, count);
-    }
-
-    /// Fill `init_ok` with the per-word launch-and-valid mask; returns the
-    /// OR over words (zero means no slot of this block can detect `tf`).
-    std::uint64_t launchMask(const TransitionFault& tf, const std::uint64_t* validw,
-                             std::uint64_t* init_ok) const {
-        const unsigned W = sim_v1.words();
-        const std::uint64_t* v = sim_v1.valuePlane(tf.net);
-        const std::uint64_t* x = sim_v1.unknownPlane(tf.net);
-        const std::uint64_t want_one = tf.initialValue() == Logic::One ? ~0ULL : 0;
-        std::uint64_t any = 0;
-        for (unsigned w = 0; w < W; ++w) {
-            init_ok[w] = ~(v[w] ^ want_one) & ~x[w] & validw[w];
-            any |= init_ok[w];
-        }
-        return any;
-    }
-
-    /// Fill `hit` with the per-word detection mask; returns the OR over
-    /// words.
-    std::uint64_t detectMask(const TransitionFault& tf, const std::uint64_t* init_ok,
-                             std::uint64_t* hit) {
-        const unsigned W = sim_v2.words();
-        sim_v2.injectFault(tf.equivalentStuckAt());
-        sim_v2.propagate();
-        sim_v2.faultDiffOnto(is_obs.data(), hit);
-        sim_v2.clearFault();
-        std::uint64_t any = 0;
-        for (unsigned w = 0; w < W; ++w) {
-            hit[w] &= init_ok[w];
-            any |= hit[w];
-        }
-        return any;
-    }
-};
-
 } // namespace
+
+TransitionGrader::TransitionGrader(std::shared_ptr<const SimTables> tables, unsigned words)
+    : v1_(tables, words), v2_(tables, words), is_obs_(observationFlags(*tables->nl)) {}
+
+void TransitionGrader::loadBlock(std::span<const Pattern> v1s, std::span<const Pattern> v2s,
+                                 std::size_t base, std::size_t count) {
+    loadPatternsPacked(v1_, v1s, base, count);
+    loadPatternsPacked(v2_, v2s, base, count);
+}
+
+std::uint64_t TransitionGrader::launchMask(const TransitionFault& tf, const std::uint64_t* valid,
+                                           std::uint64_t* init_ok) const {
+    const unsigned W = v1_.words();
+    const std::uint64_t* v = v1_.valuePlane(tf.net);
+    const std::uint64_t* x = v1_.unknownPlane(tf.net);
+    const std::uint64_t want_one = tf.initialValue() == Logic::One ? ~0ULL : 0;
+    std::uint64_t any = 0;
+    for (unsigned w = 0; w < W; ++w) {
+        init_ok[w] = ~(v[w] ^ want_one) & ~x[w] & valid[w];
+        any |= init_ok[w];
+    }
+    return any;
+}
+
+std::uint64_t TransitionGrader::detectMask(const TransitionFault& tf,
+                                           const std::uint64_t* init_ok, std::uint64_t* hit) {
+    const unsigned W = v2_.words();
+    v2_.injectFault(tf.equivalentStuckAt());
+    v2_.propagate();
+    v2_.faultDiffOnto(is_obs_.data(), hit);
+    v2_.clearFault();
+    std::uint64_t any = 0;
+    for (unsigned w = 0; w < W; ++w) {
+        hit[w] &= init_ok[w];
+        any |= hit[w];
+    }
+    return any;
+}
 
 FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPattern> tests,
                                      std::span<const TransitionFault> faults,
@@ -452,7 +434,9 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
     res.detected_mask.assign(faults.size(), false);
     if (tests.empty() || faults.empty()) return res;
 
-    warmCaches(nl);
+    // One table set for every worker's simulators. Building it also forces
+    // the Netlist's lazily built fanout/topo caches, so workers only read.
+    const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
     std::vector<Pattern> v1s;
     std::vector<Pattern> v2s;
     splitPairs(tests, v1s, v2s);
@@ -465,7 +449,7 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
             "transition", faults.size(), threads,
             [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
                 if (lo == hi) return;
-                PackedTransitionState ws(nl, W);
+                TransitionGrader ws(tables, W);
                 std::uint64_t validw[kMaxPackedWords];
                 std::uint64_t init_ok[kMaxPackedWords];
                 std::uint64_t hit[kMaxPackedWords];
@@ -503,7 +487,7 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
     runPartitioned("transition", faults.size(), threads,
                    [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
                        if (lo == hi) return;
-                       TransitionWorkerState ws(nl);
+                       TransitionWorkerState ws(tables);
                        for (std::size_t base = 0; base < tests.size(); base += 64) {
                            obs::ScopedSpan batch_span(
                                obs::enabled() ? "batch@" + std::to_string(base)
@@ -544,7 +528,9 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
     std::vector<std::size_t> counts(faults.size(), 0);
     if (tests.empty() || faults.empty()) return counts;
 
-    warmCaches(nl);
+    // One table set for every worker's simulators. Building it also forces
+    // the Netlist's lazily built fanout/topo caches, so workers only read.
+    const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
     std::vector<Pattern> v1s;
     std::vector<Pattern> v2s;
     splitPairs(tests, v1s, v2s);
@@ -558,7 +544,7 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
             "ndetect", faults.size(), threads,
             [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
                 if (lo == hi) return;
-                PackedTransitionState ws(nl, W);
+                TransitionGrader ws(tables, W);
                 std::uint64_t validw[kMaxPackedWords];
                 std::uint64_t init_ok[kMaxPackedWords];
                 std::uint64_t hit[kMaxPackedWords];
@@ -585,7 +571,7 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
     runPartitioned("ndetect", faults.size(), threads,
                    [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
                        if (lo == hi) return;
-                       TransitionWorkerState ws(nl);
+                       TransitionWorkerState ws(tables);
                        for (std::size_t base = 0; base < tests.size(); base += 64) {
                            obs::ScopedSpan batch_span(
                                obs::enabled() ? "batch@" + std::to_string(base)

@@ -1,8 +1,9 @@
 // Multi-threaded fault-simulation engine.
 //
 // The fault list is split into contiguous ranges, one per worker; each
-// worker owns a private simulator replica (two for two-pattern tests) and
-// grades only its range, block-major: for every pattern block the worker
+// worker owns a private simulator replica (two for two-pattern tests; all
+// replicas of one call share a read-only SimTables) and grades only its
+// range, block-major: for every pattern block the worker
 // loads the block, snapshots the good machine, then injects each
 // still-undetected fault of its range, propagates the faulty cone
 // event-driven, compares observation points, and rolls the simulator back
@@ -26,7 +27,10 @@
 #pragma once
 
 #include "fault/fault_sim.hpp"
+#include "sim/packed_sim.hpp"
 #include "util/exec_policy.hpp"
+
+#include <memory>
 
 namespace flh {
 
@@ -96,5 +100,42 @@ struct FaultSimOptions {
 [[nodiscard]] std::vector<std::size_t> countTransitionDetections(
     const Netlist& nl, std::span<const TwoPattern> tests,
     std::span<const TransitionFault> faults, const FaultSimOptions& opts);
+
+/// The packed engine's transition grading of one block of tests, kept as an
+/// object: a V1 machine gives the slots that launch each fault's initial
+/// value, a V2 machine detects the equivalent stuck-at fault there. The
+/// packed workers of runTransitionFaultSim and countTransitionDetections
+/// each run one; the transition ATPG top-off keeps one at a single word and
+/// reloads it per candidate test. A reload only re-simulates what the new
+/// sources change, and every mask is a pure function of the loaded block.
+class TransitionGrader {
+public:
+    /// Throws like PackedSim for a bad `words`.
+    TransitionGrader(std::shared_ptr<const SimTables> tables, unsigned words);
+
+    [[nodiscard]] unsigned words() const noexcept { return v1_.words(); }
+
+    /// Load tests [base, base + count) of the V1 / V2 sequences: test i in
+    /// word i / 64, slot i % 64. Slots past `count` repeat the last test, so
+    /// they never detect anything the block does not.
+    void loadBlock(std::span<const Pattern> v1s, std::span<const Pattern> v2s, std::size_t base,
+                   std::size_t count);
+
+    /// Fill `init_ok` (words() entries) with the slots of `valid` whose V1
+    /// sets the fault site to its initial value; returns their OR over words
+    /// (zero: no slot of the block can detect `tf`).
+    std::uint64_t launchMask(const TransitionFault& tf, const std::uint64_t* valid,
+                             std::uint64_t* init_ok) const;
+
+    /// Fill `hit` with the slots of `init_ok` whose V2 observes the
+    /// equivalent stuck-at fault; returns their OR over words.
+    std::uint64_t detectMask(const TransitionFault& tf, const std::uint64_t* init_ok,
+                             std::uint64_t* hit);
+
+private:
+    PackedSim v1_;
+    PackedSim v2_;
+    std::vector<std::uint8_t> is_obs_; ///< per net: PO or FF D input
+};
 
 } // namespace flh

@@ -8,77 +8,48 @@
 
 namespace flh {
 
-PackedSim::PackedSim(const Netlist& nl, unsigned words) : nl_(&nl), words_(words) {
+PackedSim::PackedSim(const Netlist& nl, unsigned words)
+    : PackedSim(std::make_shared<const SimTables>(nl), words) {}
+
+PackedSim::PackedSim(std::shared_ptr<const SimTables> tables, unsigned words)
+    : t_(std::move(tables)), words_(words) {
     if (words < 1 || words > kMaxPackedWords)
         throw std::invalid_argument("PackedSim: words must be in [1, " +
                                     std::to_string(kMaxPackedWords) + "], got " +
                                     std::to_string(words));
-    // Hard arity check (not an assert): the propagate hot loop gathers
-    // input planes into fixed kMaxGateArity-sized buffers.
-    for (GateId g = 0; g < nl.gateCount(); ++g) {
-        const Gate& gate = nl.gate(g);
-        if (!isSequential(gate.fn) && gate.inputs.size() > kMaxGateArity)
-            throw std::invalid_argument(
-                "PackedSim: gate '" + nl.net(gate.output).name + "' has arity " +
-                std::to_string(gate.inputs.size()) + " > " + std::to_string(kMaxGateArity));
-    }
-    (void)nl_->topoOrder(); // force levelization (throws on comb loops)
-    fan_off_.assign(nl.netCount() + 1, 0);
-    for (NetId n = 0; n < nl.netCount(); ++n)
-        fan_off_[n + 1] =
-            fan_off_[n] + static_cast<std::uint32_t>(nl.fanout(n).size());
-    fan_gate_.reserve(fan_off_.back());
-    for (NetId n = 0; n < nl.netCount(); ++n)
-        for (const PinRef& pr : nl.fanout(n)) fan_gate_.push_back(pr.gate);
-    level_of_.assign(nl.gateCount(), 0);
-    for (GateId g = 0; g < nl.gateCount(); ++g) level_of_[g] = nl.levels()[g];
-    gate_fn_.resize(nl.gateCount());
-    gate_out_.resize(nl.gateCount());
-    gin_off_.assign(nl.gateCount() + 1, 0);
-    for (GateId g = 0; g < nl.gateCount(); ++g) {
-        const Gate& gate = nl.gate(g);
-        gate_fn_[g] = gate.fn;
-        gate_out_[g] = gate.output;
-        gin_off_[g + 1] = gin_off_[g] + static_cast<std::uint32_t>(gate.inputs.size());
-    }
-    gin_net_.reserve(gin_off_.back());
-    for (GateId g = 0; g < nl.gateCount(); ++g)
-        for (const NetId in : nl.gate(g).inputs) gin_net_.push_back(in);
     reset();
 }
 
 void PackedSim::reset() {
-    const std::size_t planes = nl_->netCount() * static_cast<std::size_t>(words_);
+    const std::size_t n_nets = t_->nl->netCount();
+    const std::size_t planes = n_nets * static_cast<std::size_t>(words_);
     v_.assign(planes, 0);
     x_.assign(planes, ~0ULL);
-    // Sequential gates look permanently scheduled so schedule() skips them
-    // without touching the gate record.
-    scheduled_.assign(nl_->gateCount(), 0);
-    for (GateId g = 0; g < nl_->gateCount(); ++g)
-        if (isSequential(nl_->gate(g).fn)) scheduled_[g] = 1;
-    queue_by_level_.assign(static_cast<std::size_t>(nl_->logicDepth()) + 1, {});
+    scheduled_ = t_->sequential; // flip-flops are born scheduled
+    queue_by_level_.assign(static_cast<std::size_t>(t_->depth) + 1, {});
     min_pending_level_ = 0;
     fault_active_ = false;
     fault_ = FaultSite{};
     undo_nets_.clear();
     undo_v_.clear();
     undo_x_.clear();
-    undo_mark_.assign(nl_->netCount(), 0);
-    toggles_.assign(nl_->netCount(), 0);
+    undo_mark_.assign(n_nets, 0);
+    toggles_.assign(n_nets, 0);
 }
 
-void PackedSim::schedule(GateId g) {
+void PackedSim::schedule(const SimTables& t, GateId g) {
     if (scheduled_[g]) return; // sequential gates are born scheduled
     scheduled_[g] = 1;
-    const int lvl = level_of_[g];
+    const int lvl = t.level[g];
     queue_by_level_[static_cast<std::size_t>(lvl)].push_back(g);
     if (lvl < min_pending_level_) min_pending_level_ = lvl;
 }
 
 void PackedSim::scheduleFanout(NetId net) {
-    const std::uint32_t lo = fan_off_[net];
-    const std::uint32_t hi = fan_off_[net + 1];
-    for (std::uint32_t i = lo; i < hi; ++i) schedule(fan_gate_[i]);
+    // The tables reference is hoisted so the loop does not reload t_ after
+    // every scheduled_ store.
+    const SimTables& t = *t_;
+    for (const GateId g : t.fanout(net)) schedule(t, g);
 }
 
 void PackedSim::recordUndo(NetId net) {
@@ -140,6 +111,7 @@ void PackedSim::setNet(NetId net, unsigned word, PV value) {
 }
 
 std::size_t PackedSim::propagate() {
+    const SimTables& t = *t_;
     std::size_t evals = 0;
     const unsigned W = words_;
     // Resolve the SIMD kernel once per pass; per-gate dispatch through the
@@ -159,10 +131,10 @@ std::size_t PackedSim::propagate() {
         for (std::size_t i = 0; i < q.size(); ++i) {
             const GateId g = q[i];
             scheduled_[g] = 0;
-            const std::uint32_t in_lo = gin_off_[g];
-            const std::size_t arity = gin_off_[g + 1] - in_lo;
+            const std::span<const NetId> inputs = t.inputs(g);
+            const std::size_t arity = inputs.size();
             for (std::size_t p = 0; p < arity; ++p) {
-                const std::size_t base = planeIndex(gin_net_[in_lo + p], 0);
+                const std::size_t base = planeIndex(inputs[p], 0);
                 in_v[p] = &v_[base];
                 in_x[p] = &x_[base];
             }
@@ -176,8 +148,8 @@ std::size_t PackedSim::propagate() {
                 in_x[static_cast<std::size_t>(fault_.pin)] = pin_x;
             }
             ++evals;
-            kernel(gate_fn_[g], in_v, in_x, arity, out_v, out_x, W);
-            applyValue(gate_out_[g], out_v, out_x);
+            kernel(t.fn[g], in_v, in_x, arity, out_v, out_x, W);
+            applyValue(t.out[g], out_v, out_x);
         }
         q.clear();
     }
@@ -186,7 +158,7 @@ std::size_t PackedSim::propagate() {
 }
 
 std::size_t PackedSim::evalAll() {
-    for (const GateId g : nl_->topoOrder()) schedule(g);
+    for (const GateId g : t_->nl->topoOrder()) schedule(*t_, g);
     return propagate();
 }
 
@@ -194,7 +166,7 @@ void PackedSim::injectFault(const FaultSite& f) {
     fault_active_ = true;
     fault_ = f;
     if (f.isPinFault()) {
-        schedule(f.gate);
+        schedule(*t_, f.gate);
     } else {
         // Force the stuck value at the net right away; applyValue records
         // the good planes in the undo log before overwriting them.

@@ -19,12 +19,16 @@
 // Toggle counting follows the fixed PatternSim semantics: flips are only
 // counted while no fault is active, so faulty excursions never contaminate
 // the power numbers built on totalToggles().
+//
+// Scheduling and evaluation read the same flattened SimTables as
+// PatternSim (sim/sim_tables.hpp).
 #pragma once
 
 #include "cell/logic_block.hpp"
 #include "sim/pattern_sim.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace flh {
@@ -34,8 +38,10 @@ public:
     /// `words` must be in [1, kMaxPackedWords]; throws std::invalid_argument
     /// otherwise, or if any combinational gate exceeds kMaxGateArity.
     PackedSim(const Netlist& nl, unsigned words);
+    /// Shares `tables` with other simulators of the same netlist.
+    PackedSim(std::shared_ptr<const SimTables> tables, unsigned words);
 
-    [[nodiscard]] const Netlist& netlist() const noexcept { return *nl_; }
+    [[nodiscard]] const Netlist& netlist() const noexcept { return *t_->nl; }
     [[nodiscard]] unsigned words() const noexcept { return words_; }
 
     /// Reset every net to X in every word, clear fault state and toggles.
@@ -90,7 +96,7 @@ public:
 
     // ---- toggle accounting ----------------------------------------------
     void enableToggleCount(bool on) { count_toggles_ = on; }
-    void clearToggleCounts() { toggles_.assign(nl_->netCount(), 0); }
+    void clearToggleCounts() { toggles_.assign(t_->nl->netCount(), 0); }
     [[nodiscard]] const std::vector<std::uint64_t>& toggleCounts() const noexcept {
         return toggles_;
     }
@@ -100,31 +106,15 @@ private:
     [[nodiscard]] std::size_t planeIndex(NetId net, unsigned word) const {
         return static_cast<std::size_t>(net) * words_ + word;
     }
-    void schedule(GateId g);
+    void schedule(const SimTables& t, GateId g);
     void scheduleFanout(NetId net);
     void applyValue(NetId net, const std::uint64_t* nv, const std::uint64_t* nx);
     void recordUndo(NetId net);
 
-    const Netlist* nl_;
+    std::shared_ptr<const SimTables> t_;
     unsigned words_;
     std::vector<std::uint64_t> v_; ///< value planes, netCount * words_
     std::vector<std::uint64_t> x_; ///< unknown planes, netCount * words_
-    // Flattened event-scheduling structures, copied from the Netlist at
-    // construction: the per-net fanout gate list as a CSR array and the
-    // per-gate level, so the hot scheduling path never chases the Netlist's
-    // per-net vectors. Sequential gates are born with scheduled_ = 1 and are
-    // never queued, which removes the isSequential check from the per-event
-    // path.
-    std::vector<std::uint32_t> fan_off_;  ///< netCount + 1 offsets
-    std::vector<GateId> fan_gate_;        ///< fanout gate ids, CSR payload
-    std::vector<std::int32_t> level_of_;  ///< per-gate level
-    // Flattened gate records (combinational evaluation only): function,
-    // output net, and the input nets as a CSR array, so an evaluation reads
-    // contiguous arrays instead of each Gate's heap-allocated inputs vector.
-    std::vector<CellFn> gate_fn_;         ///< per gate
-    std::vector<NetId> gate_out_;         ///< per gate
-    std::vector<std::uint32_t> gin_off_;  ///< gateCount + 1 offsets
-    std::vector<NetId> gin_net_;          ///< input nets, CSR payload
     std::vector<std::uint8_t> scheduled_;
     std::vector<std::vector<GateId>> queue_by_level_;
     int min_pending_level_ = 0;

@@ -1,54 +1,53 @@
 #include "sim/pattern_sim.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <stdexcept>
-#include <string>
 
 namespace flh {
 
-PatternSim::PatternSim(const Netlist& nl) : nl_(&nl) {
-    // Hard arity check, not just the debug assert in propagate(): the hot
-    // loop evaluates gates into a fixed kMaxGateArity-entry input buffer, so
-    // a wider combinational gate would silently corrupt the stack in release
-    // builds. Netlist::addGate rejects such gates too, but a Library built
-    // directly (Library::add takes any cell) can still smuggle one in.
-    for (GateId g = 0; g < nl.gateCount(); ++g) {
-        const Gate& gate = nl.gate(g);
-        if (!isSequential(gate.fn) && gate.inputs.size() > kMaxGateArity)
-            throw std::invalid_argument(
-                "PatternSim: gate '" + nl.net(gate.output).name + "' has arity " +
-                std::to_string(gate.inputs.size()) + " > " + std::to_string(kMaxGateArity));
-    }
-    (void)nl_->topoOrder(); // force levelization (throws on comb loops)
+PatternSim::PatternSim(const Netlist& nl) : PatternSim(std::make_shared<const SimTables>(nl)) {}
+
+PatternSim::PatternSim(std::shared_ptr<const SimTables> tables) : t_(std::move(tables)) {
     reset();
 }
 
 void PatternSim::reset() {
-    values_.assign(nl_->netCount(), PV::all(Logic::X));
-    held_.assign(nl_->gateCount(), 0);
-    scheduled_.assign(nl_->gateCount(), 0);
-    queue_by_level_.assign(static_cast<std::size_t>(nl_->logicDepth()) + 1, {});
+    const std::size_t n_nets = t_->nl->netCount();
+    values_.assign(n_nets, PV::all(Logic::X));
+    held_.assign(t_->fn.size(), 0);
+    scheduled_ = t_->sequential; // flip-flops are born scheduled
+    queue_by_level_.resize(static_cast<std::size_t>(t_->depth) + 1);
+    for (auto& q : queue_by_level_) q.clear();
     min_pending_level_ = 0;
     fault_active_ = false;
     fault_ = FaultSite{};
     fault_slots_ = ~0ULL;
     undo_.clear();
-    undo_mark_.assign(nl_->netCount(), 0);
-    toggles_.assign(nl_->netCount(), 0);
+    undo_mark_.assign(n_nets, 0);
+    toggles_.assign(n_nets, 0);
 }
 
-void PatternSim::schedule(GateId g) {
-    if (isSequential(nl_->gate(g).fn)) return;
-    if (scheduled_[g]) return;
+void PatternSim::restrictTo(std::span<const GateId> gates) {
+    assert(std::all_of(queue_by_level_.begin(), queue_by_level_.end(),
+                       [](const auto& q) { return q.empty(); }));
+    std::fill(scheduled_.begin(), scheduled_.end(), std::uint8_t{1});
+    for (const GateId g : gates) scheduled_[g] = t_->sequential[g];
+}
+
+void PatternSim::schedule(const SimTables& t, GateId g) {
+    if (scheduled_[g]) return; // also flip-flops and gates outside a restriction
     scheduled_[g] = 1;
-    const int lvl = nl_->levels()[g];
+    const int lvl = t.level[g];
     queue_by_level_[static_cast<std::size_t>(lvl)].push_back(g);
     if (lvl < min_pending_level_) min_pending_level_ = lvl;
 }
 
 void PatternSim::scheduleFanout(NetId net) {
-    for (const PinRef& pr : nl_->fanout(net)) schedule(pr.gate);
+    // The tables reference is hoisted so the loop does not reload t_ after
+    // every scheduled_ store.
+    const SimTables& t = *t_;
+    for (const GateId g : t.fanout(net)) schedule(t, g);
 }
 
 PV PatternSim::forceStuck(PV v) const noexcept {
@@ -80,6 +79,9 @@ void PatternSim::applyValue(NetId net, PV value) {
 void PatternSim::setNet(NetId net, PV value) { applyValue(net, value); }
 
 std::size_t PatternSim::propagate() {
+    const SimTables& t = *t_;
+    const GateId pin_fault_gate =
+        fault_active_ && fault_.isPinFault() ? fault_.gate : kInvalidId;
     std::size_t evals = 0;
     for (std::size_t lvl = static_cast<std::size_t>(std::max(min_pending_level_, 0));
          lvl < queue_by_level_.size(); ++lvl) {
@@ -90,18 +92,15 @@ std::size_t PatternSim::propagate() {
             const GateId g = q[i];
             scheduled_[g] = 0;
             if (held_[g]) continue;
-            const Gate& gate = nl_->gate(g);
-            PV ins[kMaxGateArity];
-            assert(gate.inputs.size() <= kMaxGateArity); // enforced in ctor
-            for (std::size_t p = 0; p < gate.inputs.size(); ++p) {
-                PV v = values_[gate.inputs[p]];
-                if (fault_active_ && fault_.isPinFault() && fault_.gate == g &&
-                    fault_.pin == static_cast<int>(p))
-                    v = forceStuck(v);
-                ins[p] = v;
+            const std::span<const NetId> inputs = t.inputs(g);
+            PV ins[kMaxGateArity]; // arity checked by SimTables
+            for (std::size_t p = 0; p < inputs.size(); ++p) ins[p] = values_[inputs[p]];
+            if (g == pin_fault_gate && static_cast<std::size_t>(fault_.pin) < inputs.size()) {
+                PV& pin = ins[static_cast<std::size_t>(fault_.pin)];
+                pin = forceStuck(pin);
             }
             ++evals;
-            applyValue(gate.output, evalCell(gate.fn, {ins, gate.inputs.size()}));
+            applyValue(t.out[g], evalCell(t.fn[g], {ins, inputs.size()}));
         }
         q.clear();
     }
@@ -110,13 +109,13 @@ std::size_t PatternSim::propagate() {
 }
 
 std::size_t PatternSim::evalAll() {
-    for (const GateId g : nl_->topoOrder()) schedule(g);
+    for (const GateId g : t_->nl->topoOrder()) schedule(*t_, g);
     return propagate();
 }
 
 void PatternSim::setHeld(GateId gate, bool held) {
     held_.at(gate) = held ? 1 : 0;
-    if (!held) schedule(gate); // re-evaluate with current inputs on release
+    if (!held) schedule(*t_, gate); // re-evaluate with current inputs on release
 }
 
 void PatternSim::setHeldAll(const std::vector<GateId>& gates, bool held) {
@@ -128,7 +127,7 @@ void PatternSim::injectFault(const FaultSite& f, std::uint64_t slots) {
     fault_ = f;
     fault_slots_ = slots;
     if (f.isPinFault()) {
-        schedule(f.gate);
+        schedule(*t_, f.gate);
     } else {
         // Force the stuck value at the net right away; applyValue records
         // the good value in the undo log before overwriting it.
@@ -151,7 +150,7 @@ void PatternSim::clearFault() {
 
 void PatternSim::enableToggleCount(bool on) { count_toggles_ = on; }
 
-void PatternSim::clearToggleCounts() { toggles_.assign(nl_->netCount(), 0); }
+void PatternSim::clearToggleCounts() { toggles_.assign(t_->nl->netCount(), 0); }
 
 std::uint64_t PatternSim::totalToggles() const noexcept {
     std::uint64_t sum = 0;

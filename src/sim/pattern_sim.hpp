@@ -10,13 +10,29 @@
 //  * ATPG implication (one pattern per word, X-aware).
 //
 // Only gates whose inputs actually changed are re-evaluated, processed in
-// level order, so a pass costs O(affected gates).
+// level order, so a pass costs O(affected gates). Scheduling and evaluation
+// read the flattened SimTables (sim/sim_tables.hpp), never the Netlist's
+// per-gate vectors.
+//
+// Restriction (restrictTo): a caller that reads only some nets can limit
+// evaluation to the gates those nets depend on. Every other gate is marked
+// scheduled for good, the way flip-flops always are, so it is never queued
+// and its output keeps the value it had (X right after reset()). The values
+// of the gates kept are exact — identical to an unrestricted run — as long
+// as the kept set is closed under fanin: each kept gate's combinational
+// drivers are kept too (flip-flop outputs and primary inputs are sources,
+// set directly). A kept gate then sees exactly the input events it would
+// see unrestricted, in the same level order, so it evaluates to the same
+// values; only nets outside the set go stale. PODEM restricts each call to
+// the transitive fanin of the nets its search reads (atpg/podem.hpp).
 #pragma once
 
 #include "cell/logic.hpp"
-#include "netlist/netlist.hpp"
+#include "sim/sim_tables.hpp"
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace flh {
@@ -35,12 +51,23 @@ struct FaultSite {
 
 class PatternSim {
 public:
+    /// Builds private tables; throws like SimTables(nl).
     explicit PatternSim(const Netlist& nl);
+    /// Shares `tables` with other simulators of the same netlist.
+    explicit PatternSim(std::shared_ptr<const SimTables> tables);
 
-    [[nodiscard]] const Netlist& netlist() const noexcept { return *nl_; }
+    [[nodiscard]] const Netlist& netlist() const noexcept { return *t_->nl; }
+    [[nodiscard]] const std::shared_ptr<const SimTables>& tables() const noexcept { return t_; }
 
-    /// Reset every net to X, clear holds/faults/toggle counts.
+    /// Reset every net to X, clear holds/faults/toggle counts and any
+    /// restriction.
     void reset();
+
+    /// Evaluate only `gates` until the next reset(); see the header comment
+    /// for when the kept values are exact. Call on a quiescent simulator
+    /// (nothing pending), e.g. right after reset(). Sequential gates in the
+    /// list are ignored.
+    void restrictTo(std::span<const GateId> gates);
 
     /// Set a source net (PI or FF output) and schedule affected gates.
     /// Setting an internal net is allowed (used for fault injection tests)
@@ -97,15 +124,17 @@ public:
     [[nodiscard]] std::uint64_t totalToggles() const noexcept;
 
 private:
-    void schedule(GateId g);
+    void schedule(const SimTables& t, GateId g);
     void scheduleFanout(NetId net);
     void applyValue(NetId net, PV value);
     /// `v` with the stuck value forced into the fault's slots.
     [[nodiscard]] PV forceStuck(PV v) const noexcept;
 
-    const Netlist* nl_;
+    std::shared_ptr<const SimTables> t_;
     std::vector<PV> values_;
     std::vector<std::uint8_t> held_;
+    /// Per gate: queued, or never to be queued (flip-flops, and gates
+    /// outside a restriction).
     std::vector<std::uint8_t> scheduled_;
     std::vector<std::vector<GateId>> queue_by_level_; ///< index: level
     int min_pending_level_ = 0;

@@ -1,0 +1,50 @@
+#include "sim/sim_tables.hpp"
+
+#include <stdexcept>
+#include <string>
+
+namespace flh {
+
+SimTables::SimTables(const Netlist& nl) : nl(&nl) {
+    const std::size_t n_nets = nl.netCount();
+    const std::size_t n_gates = nl.gateCount();
+    // Hard arity check, not an assert: the propagate hot loops gather inputs
+    // into fixed kMaxGateArity-entry buffers, so a wider combinational gate
+    // would silently corrupt the stack in release builds. Netlist::addGate
+    // rejects such gates too, but a Library built directly (Library::add
+    // takes any cell) can still smuggle one in.
+    for (GateId g = 0; g < n_gates; ++g) {
+        const Gate& gate = nl.gate(g);
+        if (!isSequential(gate.fn) && gate.inputs.size() > kMaxGateArity)
+            throw std::invalid_argument(
+                "simulator: gate '" + nl.net(gate.output).name + "' has arity " +
+                std::to_string(gate.inputs.size()) + " > " + std::to_string(kMaxGateArity));
+    }
+    const std::vector<int>& levels = nl.levels(); // throws on combinational loops
+    depth = nl.logicDepth();
+
+    fan_off.assign(n_nets + 1, 0);
+    for (NetId n = 0; n < n_nets; ++n)
+        fan_off[n + 1] = fan_off[n] + static_cast<std::uint32_t>(nl.fanout(n).size());
+    fan_gate.reserve(fan_off.back());
+    for (NetId n = 0; n < n_nets; ++n)
+        for (const PinRef& pr : nl.fanout(n)) fan_gate.push_back(pr.gate);
+
+    level.assign(levels.begin(), levels.end());
+    fn.resize(n_gates);
+    out.resize(n_gates);
+    sequential.assign(n_gates, 0);
+    in_off.assign(n_gates + 1, 0);
+    for (GateId g = 0; g < n_gates; ++g) {
+        const Gate& gate = nl.gate(g);
+        fn[g] = gate.fn;
+        out[g] = gate.output;
+        sequential[g] = isSequential(gate.fn) ? 1 : 0;
+        in_off[g + 1] = in_off[g] + static_cast<std::uint32_t>(gate.inputs.size());
+    }
+    in_net.reserve(in_off.back());
+    for (GateId g = 0; g < n_gates; ++g)
+        for (const NetId in : nl.gate(g).inputs) in_net.push_back(in);
+}
+
+} // namespace flh

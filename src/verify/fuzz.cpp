@@ -1,5 +1,6 @@
 #include "verify/fuzz.hpp"
 
+#include "atpg/podem.hpp"
 #include "dft/scan.hpp"
 #include "fault/parallel_sim.hpp"
 #include "obs/telemetry.hpp"
@@ -18,6 +19,10 @@ namespace {
 
 constexpr std::uint64_t kPairSeedMix = 0xD1B54A32D192ED03ULL;
 constexpr std::uint64_t kEngineSeedMix = 0x8CB92BA72F3D8DD7ULL;
+
+/// The podem-verdict check enumerates every source assignment, so it runs
+/// only on circuits with at most this many sources (PIs + flip-flops).
+constexpr std::size_t kMaxVerdictSources = 16;
 
 /// Naive scalar reference evaluation: one pattern, gate by gate in topo
 /// order through evalCellScalar. Shares nothing with the event-driven
@@ -311,6 +316,84 @@ bool nDetectMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
     return false;
 }
 
+/// Source assignments m in [lo, hi): PI k takes bit k of m, flip-flop k
+/// takes bit (number of PIs + k).
+std::vector<Pattern> enumeratedPatterns(const Netlist& nl, std::uint64_t lo, std::uint64_t hi) {
+    const std::size_t n_pis = nl.pis().size();
+    const std::size_t n_ffs = nl.flipFlops().size();
+    std::vector<Pattern> pats(hi - lo);
+    for (std::uint64_t m = lo; m < hi; ++m) {
+        Pattern& p = pats[m - lo];
+        p.pis.resize(n_pis);
+        p.state.resize(n_ffs);
+        for (std::size_t k = 0; k < n_pis + n_ffs; ++k) {
+            const Logic b = ((m >> k) & 1) ? Logic::One : Logic::Zero;
+            (k < n_pis ? p.pis[k] : p.state[k - n_pis]) = b;
+        }
+    }
+    return pats;
+}
+
+/// PODEM's verdicts against simulation, on circuits whose sources can be
+/// enumerated: every "Success" pattern of `generate` must detect its fault
+/// under the scalar fault simulator (words = 0), exactly as returned (its X
+/// bits included); no "Untestable" fault may be detected by any source
+/// assignment; and every successful `justify` pattern must produce its
+/// target value under the naive reference evaluator. Aborted calls prove
+/// nothing either way; they are counted into `*aborts`.
+bool podemVerdictMismatch(const Netlist& nl, const FuzzOptions& opts, std::size_t* aborts,
+                          std::string* detail) {
+    *aborts = 0;
+    const std::size_t n_src = nl.pis().size() + nl.flipFlops().size();
+    if (n_src > kMaxVerdictSources) return false;
+    const auto fail = [&](const std::string& what) {
+        if (detail) *detail = what;
+        return true;
+    };
+
+    Podem podem(nl);
+    std::vector<FaultSite> untestable;
+    for (const FaultSite& f : stuckFaults(nl, opts.max_faults)) {
+        Pattern p;
+        const PodemOutcome out = podem.generate(f, p);
+        if (out == PodemOutcome::Aborted) ++*aborts;
+        if (out == PodemOutcome::Untestable) untestable.push_back(f);
+        if (out != PodemOutcome::Success) continue;
+        const Pattern one[1] = {p};
+        const FaultSite site[1] = {f};
+        if (runStuckAtFaultSim(nl, one, site, scalarOracle()).detected != 1)
+            return fail("generate " + toString(nl, f) + ": the Success pattern misses the fault");
+    }
+    // 4096 assignments per grading call bound the pattern memory.
+    const std::uint64_t n_assign = std::uint64_t{1} << n_src;
+    for (std::uint64_t lo = 0; lo < n_assign && !untestable.empty(); lo += 4096) {
+        const std::vector<Pattern> pats =
+            enumeratedPatterns(nl, lo, std::min<std::uint64_t>(lo + 4096, n_assign));
+        const FaultSimResult r = runStuckAtFaultSim(nl, pats, untestable, FaultSimOptions{});
+        for (std::size_t i = 0; i < untestable.size(); ++i)
+            if (r.detected_mask[i])
+                return fail("generate " + toString(nl, untestable[i]) +
+                            ": Untestable, but a source assignment detects it");
+    }
+
+    for (NetId net = 0; net < nl.netCount(); ++net) {
+        for (const Logic v : {Logic::Zero, Logic::One}) {
+            Pattern p;
+            const PodemOutcome out = podem.justify(net, v, p);
+            if (out == PodemOutcome::Aborted) ++*aborts;
+            if (out != PodemOutcome::Success) continue;
+            const Logic got = refEval(nl, p)[net];
+            if (got != v) {
+                std::ostringstream os;
+                os << "justify " << nl.net(net).name << " = " << toChar(v)
+                   << ": the Success pattern gives " << toChar(got);
+                return fail(os.str());
+            }
+        }
+    }
+    return false;
+}
+
 /// Inject some X bits so Kleene propagation is fuzzed too (the fault-sim
 /// checks keep the fully-specified list; X-detection semantics are theirs
 /// to define, value agreement is not).
@@ -358,6 +441,7 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
     static obs::Counter& c_seeds = obs::counter("verify.fuzz.seeds");
     static obs::Counter& c_checks = obs::counter("verify.fuzz.checks");
     static obs::Counter& c_findings = obs::counter("verify.fuzz.findings");
+    static obs::Counter& c_podem_aborts = obs::counter("verify.fuzz.podem_aborts");
 
     const Library& lib = [] () -> const Library& {
         static const Library l = makeDefaultLibrary();
@@ -390,7 +474,8 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
             variants.flh = &*mutant;
         }
 
-        const std::vector<CheckDef> checks = {
+        std::size_t podem_aborts = 0; // set by the podem-verdict check
+        std::vector<CheckDef> checks = {
             {"per-net",
              [](const Netlist& n, const std::vector<TwoPattern>& ps) {
                  return perNetMismatch(n, ps, nullptr);
@@ -427,12 +512,23 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
              },
              &eq_pairs},
         };
+        if (scanned.pis().size() + scanned.flipFlops().size() <= kMaxVerdictSources)
+            checks.push_back({"podem-verdict",
+                              [&opts, &podem_aborts](const Netlist& n,
+                                                     const std::vector<TwoPattern>&) {
+                                  return podemVerdictMismatch(n, opts, &podem_aborts, nullptr);
+                              },
+                              &engine_pairs});
 
         for (const CheckDef& check : checks) {
             obs::ScopedSpan check_span(check.name, "verify.check");
             c_checks.add(1);
             ++rep.checks_run;
-            if (!check.fails(scanned, *check.pairs)) continue;
+            podem_aborts = 0;
+            const bool failed = check.fails(scanned, *check.pairs);
+            rep.podem_aborts += podem_aborts;
+            c_podem_aborts.add(podem_aborts);
+            if (!failed) continue;
 
             c_findings.add(1);
             FuzzFinding finding;
@@ -452,6 +548,8 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
                 transitionBitmapMismatch(scanned, *check.pairs, opts, &detail);
             else if (finding.check == "n-detect")
                 nDetectMismatch(scanned, *check.pairs, opts, &detail);
+            else if (finding.check == "podem-verdict")
+                podemVerdictMismatch(scanned, opts, &podem_aborts, &detail);
             else
                 detail = checkDftEquivalence(scanned, *check.pairs, eq_opts, variants).summary();
             if (opts.mutant_seed != 0 && finding.check == "dft-equivalence")

@@ -19,7 +19,14 @@
 //     word widths;
 //  6. DFT equivalence — the Fig. 5b protocol under enhanced scan, MUX-hold,
 //     and FLH vs direct evaluation (verify/equivalence.hpp), on random and
-//     ATPG-generated pairs.
+//     ATPG-generated pairs;
+//  7. PODEM verdicts — on circuits with at most 16 sources (PIs + FFs):
+//     every generate() "Success" pattern must detect its stuck-at fault
+//     under the scalar fault simulator, no "Untestable" fault may be
+//     detected by any of the enumerated source assignments, and every
+//     successful justify() pattern must produce its value under the naive
+//     evaluator of check 1. Aborts are counted (FuzzReport::podem_aborts),
+//     not failed.
 //
 // Any mismatch becomes a FuzzFinding; with a corpus directory configured it
 // is greedily shrunk (verify/shrink.hpp) and written out as a standalone
@@ -67,7 +74,7 @@ struct FuzzFinding {
     std::uint64_t seed = 0;
     std::string check; ///< "per-net", "packed-pernet", "seq-capture",
                        ///< "stuck-bitmap", "transition-bitmap", "n-detect",
-                       ///< "dft-equivalence"
+                       ///< "dft-equivalence", "podem-verdict"
     std::string detail;
     std::string bench_path; ///< written reproducer (empty when not shrunk)
     std::string pairs_path;
@@ -77,6 +84,7 @@ struct FuzzFinding {
 struct FuzzReport {
     std::size_t seeds_run = 0;
     std::size_t checks_run = 0;
+    std::size_t podem_aborts = 0; ///< aborted PODEM calls of the podem-verdict check
     std::vector<FuzzFinding> findings;
 
     [[nodiscard]] bool ok() const noexcept { return findings.empty(); }

@@ -260,6 +260,130 @@ TEST(Podem, VerdictsMatchExhaustiveSimulation) {
     EXPECT_GT(untestable_total, 0u);
 }
 
+/// FNV-1a over what a sequence of PODEM calls decides: each call's outcome,
+/// backtrack count and, on success, the pattern bits.
+class CallDigest {
+public:
+    void add(PodemOutcome out, const Podem& podem, const Pattern& p) {
+        mix(static_cast<std::uint64_t>(out));
+        mix(podem.backtracksUsed());
+        if (out != PodemOutcome::Success) return;
+        for (const Logic l : p.pis) mix(static_cast<std::uint64_t>(l));
+        for (const Logic l : p.state) mix(static_cast<std::uint64_t>(l));
+    }
+    [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+private:
+    void mix(std::uint64_t x) {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (x >> (8 * i)) & 0xFF;
+            h_ *= 1099511628211ULL;
+        }
+    }
+    std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+void expectDigest(const CallDigest& d, std::uint64_t want, const std::string& what) {
+    char got[32];
+    std::snprintf(got, sizeof got, "0x%016llxULL", static_cast<unsigned long long>(d.value()));
+    EXPECT_EQ(d.value(), want) << what << " digest " << got;
+}
+
+TEST(Podem, PerCallSearchIsStable) {
+    // Implication-cost optimizations must leave every call's search alone:
+    // the verdict, the backtrack count and the pattern of each call below
+    // are pinned to digests recorded before the simulator was restricted to
+    // the gates the search reads. 100 backtracks keep the aborts (the
+    // longest searches) in the sample at a fraction of the default's cost.
+    const PodemConfig cfg{.max_backtracks = 100};
+    const std::array<std::pair<const char*, std::uint64_t>, 3> generate_digests = {{
+        {"s298", 0xa598a8bfca46927eULL},
+        {"s641", 0xdd0b8cfc38c2ac87ULL},
+        {"s1423", 0x5288c5442417fb82ULL},
+    }};
+    for (const auto& [name, want] : generate_digests) {
+        const Netlist nl = makeCircuit(name, lib());
+        Podem podem(nl, cfg);
+        CallDigest d;
+        for (const FaultSite& f : allStuckAtFaults(nl)) {
+            Pattern p;
+            d.add(podem.generate(f, p), podem, p);
+        }
+        expectDigest(d, want, std::string("generate ") + name);
+    }
+
+    {
+        const Netlist nl = makeCircuit("s641", lib());
+        Podem podem(nl, cfg);
+        CallDigest d;
+        for (NetId n = 0; n < nl.netCount(); ++n)
+            for (const Logic v : {Logic::Zero, Logic::One}) {
+                Pattern p;
+                d.add(podem.justify(n, v, p), podem, p);
+            }
+        expectDigest(d, 0xfe039148836ceb91ULL, "justify s641");
+    }
+
+    // s838's deep scan chain makes the constrained shapes hard: broadside
+    // justifies next-state bits at the FF D inputs, skewed load justifies a
+    // site value with the flip-flop outputs frozen.
+    const Netlist nl = makeCircuit("s838", lib());
+    const auto& ffs = nl.flipFlops();
+    Podem podem(nl, cfg);
+    Rng rng(41);
+    CallDigest broadside;
+    CallDigest skewed;
+    for (NetId site = 0; site < nl.netCount(); site += 7) {
+        const Logic want = rng.chance(0.5) ? Logic::One : Logic::Zero;
+        std::vector<std::pair<NetId, Logic>> objectives;
+        for (const GateId ff : ffs)
+            if (rng.chance(0.5))
+                objectives.push_back(
+                    {nl.gate(ff).inputs[0], rng.chance(0.5) ? Logic::One : Logic::Zero});
+        objectives.push_back({site, want});
+        podem.clearFrozen();
+        Pattern p;
+        broadside.add(podem.justifyAll(objectives, p), podem, p);
+
+        for (std::size_t i = 0; i + 1 < ffs.size(); ++i)
+            podem.freeze(nl.gate(ffs[i + 1]).output,
+                         rng.chance(0.5) ? Logic::One : Logic::Zero);
+        Pattern q;
+        skewed.add(podem.justify(site, want, q), podem, q);
+    }
+    expectDigest(broadside, 0x8787d1eead23d189ULL, "broadside justifyAll s838");
+    expectDigest(skewed, 0x72cbaa8b9c564641ULL, "frozen justify s838");
+}
+
+TEST(Podem, CountersShowTheRestrictedRegion) {
+    // podem.region_gates sums each call's simulated gate count, so on s1423
+    // (half its gates outside a typical fault's region) the mean region is
+    // smaller than the circuit; podem.gate_evals sums propagate()'s work
+    // and podem.calls counts generate/justify calls.
+    const Netlist nl = makeCircuit("s1423", lib());
+    const auto faults = collapsedStuckAtFaults(nl);
+    obs::reset();
+    obs::setEnabled(true);
+    Podem podem(nl, PodemConfig{.max_backtracks = 20});
+    std::uint64_t calls = 0;
+    for (std::size_t i = 0; i < faults.size(); i += 25, ++calls) {
+        Pattern p;
+        (void)podem.generate(faults[i], p);
+    }
+    Pattern p;
+    (void)podem.justify(nl.pos().front(), Logic::One, p);
+    ++calls;
+    const std::uint64_t counted = obs::counter("podem.calls").value();
+    const std::uint64_t evals = obs::counter("podem.gate_evals").value();
+    const std::uint64_t region = obs::counter("podem.region_gates").value();
+    obs::setEnabled(false);
+    obs::reset();
+    EXPECT_EQ(counted, calls);
+    EXPECT_GT(evals, 0u);
+    EXPECT_GT(region, 0u);
+    EXPECT_LT(region, calls * nl.combGates().size());
+}
+
 TEST(StuckAtpg, HighCoverageOnS27) {
     const Netlist nl = makeS27(lib());
     const auto faults = collapsedStuckAtFaults(nl);
