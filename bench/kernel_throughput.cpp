@@ -124,7 +124,7 @@ BENCHMARK(BM_TransitionFaultSimThreads)
     ->Unit(benchmark::kMillisecond);
 
 // Word-packed PPSFP axis: range(1) is FaultSimOptions::words (0 = the
-// scalar PatternSim oracle). 512 tests so words=8 runs one full block and
+// one-word reference grader). 512 tests so words=8 runs one full block and
 // the packed engine is not clamped; faults/sec appears as items_per_second
 // and the "/words:0" to "/words:W" ratio is the packing speedup.
 void BM_TransitionFaultSimWords(benchmark::State& state) {
@@ -170,8 +170,8 @@ BENCHMARK(BM_StuckAtFaultSimWords)
     ->Unit(benchmark::kMillisecond);
 
 // A/B pin for flh_benchdiff, which matches rows by (schema, name, threads):
-// the packed width comes from FLH_SIM_WORDS (default 8, 0 = the scalar
-// oracle), so a baseline run with FLH_SIM_WORDS=0 and a candidate run with
+// the packed width comes from FLH_SIM_WORDS (default 8, 0 = the reference
+// grader), so a baseline run with FLH_SIM_WORDS=0 and a candidate run with
 // FLH_SIM_WORDS=8 share the row name and their faults/sec ratio is exactly
 // the packed-engine speedup on this machine.
 //

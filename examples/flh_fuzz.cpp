@@ -6,10 +6,10 @@
 //   flh_fuzz --check-corpus tests/corpus  # replay committed reproducers
 //
 // Every seed deterministically generates a random sequential circuit, scans
-// it, and cross-checks: a naive reference evaluator vs PatternSim, the
-// word-packed PackedSim at every --words width vs the same reference,
-// SequentialSim::clock vs the nextState oracle, the scalar serial engine vs
-// fault simulation at every --threads count x --words width (bitmaps and
+// it, and cross-checks: a naive reference evaluator vs PatternSim at one
+// word and at every --words width, SequentialSim::clock vs the nextState
+// oracle, the serial reference grader (words = 0) vs fault simulation at
+// every --threads count x --words width (bitmaps and
 // n-detect counts), the paper's Fig. 5b two-pattern protocol under
 // enhanced scan / MUX-hold / FLH vs direct evaluation, and — on circuits with
 // at most 16 sources — PODEM's verdicts vs fault simulation and exhaustive
@@ -49,7 +49,8 @@ constexpr const char* kUsage = R"(usage: flh_fuzz [options]
   --threads LIST       comma-separated thread counts to cross-check
                        (default 1,4)
   --words LIST         comma-separated packed word widths to cross-check
-                       against the scalar words=0 oracle (default 1,4,8)
+                       against the naive evaluator and the words=0
+                       reference grader (default 1,4,8)
   --corpus DIR         where shrunk reproducers are written
                        (default fuzz_corpus)
   --no-shrink          report mismatches without minimizing them

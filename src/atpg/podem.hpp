@@ -42,13 +42,11 @@
 // podem.region_gates (summed per call, flushed once per call) show the
 // saving in a traced run: region_gates / calls is the mean region.
 //
-// Implication stays on the one-word PatternSim rather than the word-packed
-// PackedSim: PODEM implies a single candidate assignment at a time (two
-// slots of one word), so wider planes would only add memory traffic. It
-// moves together with the other PatternSim users when ROADMAP item 6
-// merges the two engines. Grading the generated tests, by contrast, goes
-// through the packed engine (runStuckAtFaultSim, and the transition
-// top-off's TransitionGrader) on a single word.
+// Implication runs the simulator at one word (PatternSim's default width):
+// PODEM implies a single candidate assignment at a time (two slots of one
+// word), so wider planes would only add memory traffic. Grading the
+// generated tests runs the same engine (runStuckAtFaultSim, and the
+// transition top-off's TransitionGrader) on a single word.
 #pragma once
 
 #include "fault/fault_sim.hpp"

@@ -51,7 +51,7 @@ struct PV {
 
     /// Value of slot `i` as scalar logic. `i` must be < 64: the shift is
     /// undefined behaviour beyond the word, so wider packed blocks address
-    /// slots as (word, slot) pairs (PackedSim) and never reach here with a
+    /// slots as (word, slot) pairs (PatternSim) and never reach here with a
     /// global slot index.
     [[nodiscard]] Logic get(unsigned i) const noexcept {
         assert(i < 64 && "PV slot index out of range; use (word, slot) addressing");

@@ -1,8 +1,8 @@
 // Word-packed (W x 64 slot) three-valued gate evaluation with runtime SIMD
 // dispatch.
 //
-// This is the cell-level kernel under the PPSFP fault-simulation engine
-// (sim/packed_sim.hpp): every net carries W 64-bit words per plane (value
+// This is the cell-level kernel under the event-driven simulator
+// (sim/pattern_sim.hpp): every net carries W 64-bit words per plane (value
 // and unknown), so one gate evaluation grades W*64 patterns. The Kleene
 // formulas are identical to the 1-word ops in logic.hpp; only the word
 // count differs. Three kernel builds exist — portable scalar, AVX2
@@ -17,7 +17,7 @@
 namespace flh {
 
 /// Maximum words per packed block: 8 words = 512 patterns per pass, one full
-/// AVX-512 register per plane. PackedSim and FaultSimOptions::words are
+/// AVX-512 register per plane. PatternSim and FaultSimOptions::words are
 /// clamped to this.
 inline constexpr unsigned kMaxPackedWords = 8;
 
@@ -56,7 +56,7 @@ using BlockKernelFn = void (*)(CellFn, const std::uint64_t* const*,
                                std::uint64_t*, unsigned) noexcept;
 
 /// The kernel evalCellBlock currently dispatches to. Hot loops
-/// (PackedSim::propagate) resolve this once per pass so each gate
+/// (PatternSim::propagate) resolve this once per pass so each gate
 /// evaluation is a call through a loop-invariant pointer instead of
 /// re-reading the dispatch table per gate.
 [[nodiscard]] BlockKernelFn activeBlockKernel() noexcept;

@@ -1,12 +1,13 @@
 // Parallel-pattern single-fault fault simulation (PPSFP).
 //
 // Patterns are packed FaultSimOptions::words x 64 per simulator pass (the
-// word-packed engine in sim/packed_sim.hpp, evaluated by the
-// runtime-dispatched SIMD kernel; words = 0 selects the scalar 64-wide
-// PatternSim oracle); each candidate fault is then injected and its cone
-// re-propagated event-driven, comparing the observation points (primary
-// outputs + flip-flop D inputs — the full-scan capture view) against the
-// good machine. Every width produces bit-identical detected masks.
+// event-driven PatternSim of sim/pattern_sim.hpp at that width, evaluated by
+// the runtime-dispatched SIMD kernel; words = 0 selects the reference
+// grader, one word with a full observation-snapshot compare); each candidate
+// fault is then injected and its cone re-propagated event-driven, comparing
+// the observation points (primary outputs + flip-flop D inputs — the
+// full-scan capture view) against the good machine. Every width produces
+// bit-identical detected masks.
 //
 // Two-pattern (transition) tests follow the paper's application styles:
 //  * EnhancedScan (identical for FLH): V1 and V2 are arbitrary;

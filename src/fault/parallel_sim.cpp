@@ -1,7 +1,6 @@
 #include "fault/parallel_sim.hpp"
 
 #include "obs/telemetry.hpp"
-#include "sim/packed_sim.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -161,7 +160,7 @@ void runPartitioned(const char* engine, std::size_t n, unsigned t, const Fn& wor
 
 // ---- packed (word-parallel) engine helpers -------------------------------
 
-/// Effective packed width for a run: 0 keeps the scalar PatternSim engine;
+/// Effective packed width for a run: 0 keeps the reference grader;
 /// otherwise clamp to the words the pattern count actually fills, so small
 /// runs (ATPG grading one test at a time) never propagate unused words.
 unsigned effectiveWords(unsigned words, std::size_t n_patterns) {
@@ -177,7 +176,7 @@ unsigned effectiveWords(unsigned words, std::size_t n_patterns) {
 /// masks). The transpose runs pattern-major — one pass over each Pattern's
 /// bit vectors, accumulating words per source — instead of revisiting all
 /// words*64 Pattern objects once per source net.
-void loadPatternsPacked(PackedSim& sim, std::span<const Pattern> pats, std::size_t base,
+void loadPatternsPacked(PatternSim& sim, std::span<const Pattern> pats, std::size_t base,
                         std::size_t count) {
     const Netlist& nl = sim.netlist();
     const unsigned W = sim.words();
@@ -215,7 +214,7 @@ void loadPatternsPacked(PackedSim& sim, std::span<const Pattern> pats, std::size
 }
 
 /// One flag per net marking the observation points (POs and FF D nets) for
-/// PackedSim::faultDiffOnto. The packed engine detects against the undo
+/// PatternSim::faultDiffOnto. The packed engine detects against the undo
 /// log's pre-fault planes, so no good-machine observation snapshot is ever
 /// taken: per fault it compares only the nets the fault cone touched.
 std::vector<std::uint8_t> observationFlags(const Netlist& nl) {
@@ -253,7 +252,7 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
             "stuck_at", faults.size(), threads,
             [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
                 if (lo == hi) return;
-                PackedSim sim(tables, W);
+                PatternSim sim(tables, W);
                 const std::vector<std::uint8_t> is_obs = observationFlags(nl);
                 std::uint64_t diff[kMaxPackedWords];
                 std::uint64_t validw[kMaxPackedWords];

@@ -9,13 +9,16 @@
 // event-driven, compares observation points, and rolls the simulator back
 // through the recorded event frontier (clearFault).
 //
-// The default engine is the word-packed PPSFP simulator (sim/packed_sim.hpp):
-// a block is FaultSimOptions::words x 64 patterns, evaluated plane-wise by
-// the runtime-dispatched SIMD kernel (cell/logic_block.hpp). words = 0
-// selects the scalar 64-wide PatternSim path, kept as the differential
-// oracle; both produce bit-identical detected masks (the verdict is a pure
-// function of the pattern set). The packed width is clamped per run to
-// ceil(n_patterns / 64), so small pattern sets never pay for unused words.
+// Every path runs the one event-driven simulator (sim/pattern_sim.hpp).
+// By default a block is FaultSimOptions::words x 64 patterns, evaluated
+// plane-wise by the runtime-dispatched SIMD kernel (cell/logic_block.hpp),
+// and a fault's detections are read from the simulator's undo log
+// (faultDiffOnto). words = 0 selects the reference grader: blocks of one
+// word, and detection by comparing full good and faulty observation
+// snapshots, with no undo-log diff. Both produce bit-identical detected
+// masks (the verdict is a pure function of the pattern set). The packed
+// width is clamped per run to ceil(n_patterns / 64), so small pattern sets
+// never pay for unused words.
 //
 // Fault dropping is shared through an atomic detected bitmap: a worker sets
 // a fault's bit with a relaxed fetch_or on first detection and skips any
@@ -27,7 +30,6 @@
 #pragma once
 
 #include "fault/fault_sim.hpp"
-#include "sim/packed_sim.hpp"
 #include "util/exec_policy.hpp"
 
 #include <memory>
@@ -57,7 +59,7 @@ struct FaultSimOptions {
 
     /// 64-bit words per packed-simulation block: each propagation pass
     /// grades words x 64 patterns (kMaxPackedWords max). 0 selects the
-    /// scalar one-word PatternSim engine — the differential oracle; any
+    /// reference grader (one word, full observation-snapshot compare); any
     /// width produces bit-identical detected masks. Values above
     /// ceil(n_patterns / 64) are clamped, so the default never slows down
     /// single-batch runs (e.g. ATPG grading one test at a time).
@@ -110,7 +112,7 @@ struct FaultSimOptions {
 /// sources change, and every mask is a pure function of the loaded block.
 class TransitionGrader {
 public:
-    /// Throws like PackedSim for a bad `words`.
+    /// Throws like PatternSim for a bad `words`.
     TransitionGrader(std::shared_ptr<const SimTables> tables, unsigned words);
 
     [[nodiscard]] unsigned words() const noexcept { return v1_.words(); }
@@ -133,8 +135,8 @@ public:
                              std::uint64_t* hit);
 
 private:
-    PackedSim v1_;
-    PackedSim v2_;
+    PatternSim v1_;
+    PatternSim v2_;
     std::vector<std::uint8_t> is_obs_; ///< per net: PO or FF D input
 };
 

@@ -101,6 +101,9 @@ void SequentialSim::setHolding(bool holding) {
             }
             break;
         case HoldStyle::Flh:
+            // The gated gates keep the outputs they settled to (and
+            // PatternSim holds only a quiescent simulator).
+            if (holding) settle();
             sim_.setHeldAll(first_level_, holding);
             if (!holding) settle();
             break;

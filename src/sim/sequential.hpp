@@ -66,6 +66,7 @@ public:
     ///  * EnhancedScan/MuxHold: freeze (or release) the comb-side view of
     ///    the FF outputs;
     ///  * Flh: assert (or release) supply gating on the first-level gates;
+    ///    asserting settles first, so the gated gates keep settled outputs;
     ///  * None: no effect.
     /// Releasing re-drives the current state and re-evaluates.
     void setHolding(bool holding);

@@ -1,6 +1,6 @@
-// Flattened netlist tables shared by the event-driven simulators.
+// Flattened netlist tables shared by event-driven simulators.
 //
-// PatternSim and PackedSim schedule and evaluate gates on every event.
+// PatternSim schedules and evaluates gates on every event.
 // Reading the Netlist there would chase a heap-allocated vector per gate
 // (Gate::inputs) and per net (fanout lists) on every event. SimTables
 // copies what the hot paths read — per-net fanout gates, per-gate level,

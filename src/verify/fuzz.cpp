@@ -4,7 +4,6 @@
 #include "dft/scan.hpp"
 #include "fault/parallel_sim.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/packed_sim.hpp"
 #include "util/rng.hpp"
 #include "verify/corpus.hpp"
 #include "verify/shrink.hpp"
@@ -42,60 +41,29 @@ std::vector<Logic> refEval(const Netlist& nl, const Pattern& p) {
     return val;
 }
 
-/// Pack the V1 halves of up to 64 pairs into one PatternSim pass and compare
-/// every net of every slot against the scalar reference.
+/// The event-driven engine vs the scalar reference, at one word and at
+/// every requested word width. An all-X pattern goes first so the widest
+/// Kleene case is always present, the list is padded by repeating the last
+/// pattern (as the fault-sim loaders do), and the padded tail slot of the
+/// last word is checked too.
 bool perNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
-                    std::string* detail) {
-    const std::size_t n = std::min<std::size_t>(pairs.size(), 64);
-    if (n == 0) return false;
-    PatternSim sim(nl);
-    for (std::size_t k = 0; k < nl.pis().size(); ++k) {
-        PV v;
-        for (unsigned i = 0; i < n; ++i) v.set(i, pairs[i].v1.pis[k]);
-        sim.setNet(nl.pis()[k], v);
-    }
-    for (std::size_t k = 0; k < nl.flipFlops().size(); ++k) {
-        PV v;
-        for (unsigned i = 0; i < n; ++i) v.set(i, pairs[i].v1.state[k]);
-        sim.setNet(nl.gate(nl.flipFlops()[k]).output, v);
-    }
-    sim.evalAll();
-    for (unsigned i = 0; i < n; ++i) {
-        const std::vector<Logic> ref = refEval(nl, pairs[i].v1);
-        for (NetId net = 0; net < nl.netCount(); ++net) {
-            if (sim.get(net).get(i) == ref[net]) continue;
-            if (detail) {
-                std::ostringstream os;
-                os << "net " << nl.net(net).name << " slot " << i << ": reference "
-                   << toChar(ref[net]) << ", PatternSim " << toChar(sim.get(net).get(i));
-                *detail = os.str();
-            }
-            return true;
-        }
-    }
-    return false;
-}
-
-/// PackedSim (word-packed SIMD engine) vs the scalar reference, at every
-/// requested word width. The first pattern is replaced by an all-X vector so
-/// the widest Kleene case is always present, the list is padded by
-/// repeating the last pattern (as the fault-sim loaders do), and the padded
-/// tail slot of the last word is checked too.
-bool packedPerNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
-                          const FuzzOptions& opts, std::string* detail) {
+                    const FuzzOptions& opts, std::string* detail) {
     if (pairs.empty()) return false;
     std::vector<Pattern> pats;
-    pats.reserve(pairs.size());
-    for (const TwoPattern& tp : pairs) pats.push_back(tp.v1);
+    pats.reserve(pairs.size() + 1);
+    pats.push_back(pairs[0].v1);
     for (Logic& b : pats[0].pis) b = Logic::X;
     for (Logic& b : pats[0].state) b = Logic::X;
+    for (const TwoPattern& tp : pairs) pats.push_back(tp.v1);
     std::vector<std::vector<Logic>> refs;
     refs.reserve(pats.size());
     for (const Pattern& p : pats) refs.push_back(refEval(nl, p));
 
-    for (const unsigned W : opts.word_widths) {
-        if (W < 1 || W > kMaxPackedWords) continue;
-        PackedSim sim(nl, W);
+    std::vector<unsigned> widths{1};
+    for (const unsigned W : opts.word_widths)
+        if (W > 1 && W <= kMaxPackedWords) widths.push_back(W);
+    for (const unsigned W : widths) {
+        PatternSim sim(nl, W);
         const auto loadSource = [&](NetId net, auto&& bit) {
             for (unsigned w = 0; w < W; ++w) {
                 PV v;
@@ -120,7 +88,7 @@ bool packedPerNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pair
                     std::ostringstream os;
                     os << "words=" << W << " net " << nl.net(net).name << " word " << w
                        << " slot " << slot << ": reference " << toChar(refs[pat][net])
-                       << ", PackedSim " << toChar(sim.get(net, w, slot));
+                       << ", PatternSim " << toChar(sim.get(net, w, slot));
                     *detail = os.str();
                 }
                 return true;
@@ -226,9 +194,9 @@ FaultSimOptions poolOptions(unsigned threads, unsigned words) {
     return o;
 }
 
-/// The scalar single-threaded engine (words = 0) every other configuration
-/// must match bit for bit.
-FaultSimOptions scalarOracle() { return poolOptions(1, 0); }
+/// The single-threaded reference grader (words = 0) every other
+/// configuration must match bit for bit.
+FaultSimOptions referenceGrader() { return poolOptions(1, 0); }
 
 /// words = 0 first (thread determinism of the oracle itself), then every
 /// requested packed width.
@@ -245,7 +213,7 @@ bool stuckBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs
     pats.reserve(pairs.size());
     for (const TwoPattern& tp : pairs) pats.push_back(tp.v1);
     const std::vector<FaultSite> faults = stuckFaults(nl, opts.max_faults);
-    const FaultSimResult serial = runStuckAtFaultSim(nl, pats, faults, scalarOracle());
+    const FaultSimResult serial = runStuckAtFaultSim(nl, pats, faults, referenceGrader());
     for (const unsigned t : opts.thread_counts) {
         for (const unsigned w : widthsUnderTest(opts)) {
             const FaultSimResult par = runStuckAtFaultSim(nl, pats, faults, poolOptions(t, w));
@@ -254,7 +222,7 @@ bool stuckBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs
                 if (detail) {
                     std::ostringstream os;
                     os << "threads=" << t << " words=" << w << " fault "
-                       << toString(nl, faults[where]) << ": scalar serial "
+                       << toString(nl, faults[where]) << ": reference serial "
                        << serial.detected_mask[where] << ", engine "
                        << par.detected_mask[where];
                     *detail = os.str();
@@ -269,7 +237,7 @@ bool stuckBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs
 bool transitionBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
                               const FuzzOptions& opts, std::string* detail) {
     const std::vector<TransitionFault> faults = transitionFaults(nl, opts.max_faults);
-    const FaultSimResult serial = runTransitionFaultSim(nl, pairs, faults, scalarOracle());
+    const FaultSimResult serial = runTransitionFaultSim(nl, pairs, faults, referenceGrader());
     for (const unsigned t : opts.thread_counts) {
         for (const unsigned w : widthsUnderTest(opts)) {
             const FaultSimResult par = runTransitionFaultSim(nl, pairs, faults, poolOptions(t, w));
@@ -278,7 +246,7 @@ bool transitionBitmapMismatch(const Netlist& nl, const std::vector<TwoPattern>& 
                 if (detail) {
                     std::ostringstream os;
                     os << "threads=" << t << " words=" << w << " fault "
-                       << toString(nl, faults[where]) << ": scalar serial "
+                       << toString(nl, faults[where]) << ": reference serial "
                        << serial.detected_mask[where] << ", engine "
                        << par.detected_mask[where];
                     *detail = os.str();
@@ -294,7 +262,7 @@ bool nDetectMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
                      const FuzzOptions& opts, std::string* detail) {
     const std::vector<TransitionFault> faults = transitionFaults(nl, opts.max_faults);
     const std::vector<std::size_t> serial =
-        countTransitionDetections(nl, pairs, faults, scalarOracle());
+        countTransitionDetections(nl, pairs, faults, referenceGrader());
     for (const unsigned t : opts.thread_counts) {
         for (const unsigned w : widthsUnderTest(opts)) {
             const std::vector<std::size_t> par =
@@ -304,7 +272,7 @@ bool nDetectMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
                 if (detail) {
                     std::ostringstream os;
                     os << "threads=" << t << " words=" << w << " fault "
-                       << toString(nl, faults[i]) << ": scalar serial " << serial[i]
+                       << toString(nl, faults[i]) << ": reference serial " << serial[i]
                        << " detections, engine "
                        << (i < par.size() ? std::to_string(par[i]) : std::string("<missing>"));
                     *detail = os.str();
@@ -336,7 +304,7 @@ std::vector<Pattern> enumeratedPatterns(const Netlist& nl, std::uint64_t lo, std
 
 /// PODEM's verdicts against simulation, on circuits whose sources can be
 /// enumerated: every "Success" pattern of `generate` must detect its fault
-/// under the scalar fault simulator (words = 0), exactly as returned (its X
+/// under the reference grader (words = 0), exactly as returned (its X
 /// bits included); no "Untestable" fault may be detected by any source
 /// assignment; and every successful `justify` pattern must produce its
 /// target value under the naive reference evaluator. Aborted calls prove
@@ -361,7 +329,7 @@ bool podemVerdictMismatch(const Netlist& nl, const FuzzOptions& opts, std::size_
         if (out != PodemOutcome::Success) continue;
         const Pattern one[1] = {p};
         const FaultSite site[1] = {f};
-        if (runStuckAtFaultSim(nl, one, site, scalarOracle()).detected != 1)
+        if (runStuckAtFaultSim(nl, one, site, referenceGrader()).detected != 1)
             return fail("generate " + toString(nl, f) + ": the Success pattern misses the fault");
     }
     // 4096 assignments per grading call bound the pattern memory.
@@ -477,13 +445,8 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
         std::size_t podem_aborts = 0; // set by the podem-verdict check
         std::vector<CheckDef> checks = {
             {"per-net",
-             [](const Netlist& n, const std::vector<TwoPattern>& ps) {
-                 return perNetMismatch(n, ps, nullptr);
-             },
-             &x_pairs},
-            {"packed-pernet",
              [&opts](const Netlist& n, const std::vector<TwoPattern>& ps) {
-                 return packedPerNetMismatch(n, ps, opts, nullptr);
+                 return perNetMismatch(n, ps, opts, nullptr);
              },
              &x_pairs},
             {"seq-capture",
@@ -537,9 +500,7 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
 
             // Re-run the detailed probe for the report text.
             std::string detail;
-            if (finding.check == "per-net") perNetMismatch(scanned, *check.pairs, &detail);
-            else if (finding.check == "packed-pernet")
-                packedPerNetMismatch(scanned, *check.pairs, opts, &detail);
+            if (finding.check == "per-net") perNetMismatch(scanned, *check.pairs, opts, &detail);
             else if (finding.check == "seq-capture")
                 seqCaptureMismatch(scanned, *check.pairs, &detail);
             else if (finding.check == "stuck-bitmap")

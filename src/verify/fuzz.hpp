@@ -4,25 +4,23 @@
 // independent computation of the same fact the repository offers:
 //
 //  1. per-net values — a naive scalar topological evaluator (written here,
-//     sharing no code with the event-driven engine) vs PatternSim::evalAll,
-//     on several pattern slots including X-laden ones;
-//  2. packed per-net values — the word-packed PackedSim (SIMD kernel) vs the
-//     same scalar reference at every requested word width, including an
-//     all-X pattern and the padded tail slots;
-//  3. sequential capture — SequentialSim::clock vs the nextState oracle;
-//  4. detection bitmaps — the scalar serial stuck-at / transition engine
-//     (words = 0) vs the engine at every requested thread count x word
-//     width (threads forced into a real pool via min_items_per_worker = 1),
-//     mask bit for mask bit, with stuck-at sites on PI and PO nets always
-//     present in the fault list;
-//  5. n-detect counts — countTransitionDetections across thread counts and
+//     sharing no code with the event-driven engine) vs PatternSim::evalAll
+//     at one word and at every requested word width, on X-laden patterns,
+//     an all-X pattern and the padded tail slots;
+//  2. sequential capture — SequentialSim::clock vs the nextState oracle;
+//  3. detection bitmaps — the serial reference grader (words = 0: one word,
+//     full observation-snapshot compare) vs the engine at every requested
+//     thread count x word width (threads forced into a real pool via
+//     min_items_per_worker = 1), mask bit for mask bit, with stuck-at sites
+//     on PI and PO nets always present in the fault list;
+//  4. n-detect counts — countTransitionDetections across thread counts and
 //     word widths;
-//  6. DFT equivalence — the Fig. 5b protocol under enhanced scan, MUX-hold,
+//  5. DFT equivalence — the Fig. 5b protocol under enhanced scan, MUX-hold,
 //     and FLH vs direct evaluation (verify/equivalence.hpp), on random and
 //     ATPG-generated pairs;
-//  7. PODEM verdicts — on circuits with at most 16 sources (PIs + FFs):
+//  6. PODEM verdicts — on circuits with at most 16 sources (PIs + FFs):
 //     every generate() "Success" pattern must detect its stuck-at fault
-//     under the scalar fault simulator, no "Untestable" fault may be
+//     under the reference grader, no "Untestable" fault may be
 //     detected by any of the enumerated source assignments, and every
 //     successful justify() pattern must produce its value under the naive
 //     evaluator of check 1. Aborts are counted (FuzzReport::podem_aborts),
@@ -54,9 +52,11 @@ struct FuzzOptions {
     std::size_t max_faults = 96; ///< fault-list cap per seed (cost control)
     std::vector<unsigned> thread_counts{1, 4};
 
-    /// Packed word widths to cross-check against the scalar (words = 0)
-    /// oracle; each bitmap/n-detect check runs every width at every thread
-    /// count, plus words = 0 itself (pure thread-determinism of the oracle).
+    /// Word widths to cross-check. The per-net check runs each against the
+    /// naive evaluator (one word always included); each bitmap/n-detect
+    /// check runs every width at every thread count against the reference
+    /// grader (words = 0), plus words = 0 itself (pure thread-determinism
+    /// of the reference).
     std::vector<unsigned> word_widths{1, 4, 8};
 
     bool shrink = true;
@@ -72,7 +72,7 @@ struct FuzzOptions {
 
 struct FuzzFinding {
     std::uint64_t seed = 0;
-    std::string check; ///< "per-net", "packed-pernet", "seq-capture",
+    std::string check; ///< "per-net", "seq-capture",
                        ///< "stuck-bitmap", "transition-bitmap", "n-detect",
                        ///< "dft-equivalence", "podem-verdict"
     std::string detail;

@@ -1,9 +1,12 @@
 // Word-packed engine tests: the SIMD block kernel against the scalar cell
-// evaluator, PackedSim against PatternSim net-for-net, and the packed
-// fault-simulation path against the scalar oracle bitmap-for-bitmap.
+// evaluator, the simulator's word-count contract, multi-word simulators
+// against one-word ones word-for-word (values, fault restore, toggle counts),
+// and the packed fault-simulation path against the words = 0 reference grader
+// bitmap-for-bitmap. The engine's per-word values and holds are checked
+// against a naive oracle at several widths in sim_test.cpp.
 #include "fault/parallel_sim.hpp"
 #include "iscas/circuits.hpp"
-#include "sim/packed_sim.hpp"
+#include "sim/pattern_sim.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -86,25 +89,24 @@ TEST(LogicBlock, MatchesEvalCellAtEveryWidthAndSimdLevel) {
 
 TEST(PackedSim, CtorRejectsInvalidWordCounts) {
     const Netlist nl = makeS27(lib());
-    EXPECT_THROW(PackedSim(nl, 0), std::invalid_argument);
-    EXPECT_THROW(PackedSim(nl, kMaxPackedWords + 1), std::invalid_argument);
-    EXPECT_NO_THROW(PackedSim(nl, 1));
-    EXPECT_NO_THROW(PackedSim(nl, kMaxPackedWords));
+    EXPECT_THROW(PatternSim(nl, 0), std::invalid_argument);
+    EXPECT_THROW(PatternSim(nl, kMaxPackedWords + 1), std::invalid_argument);
+    EXPECT_NO_THROW(PatternSim(nl, 1));
+    EXPECT_NO_THROW(PatternSim(nl, kMaxPackedWords));
 }
 
-std::vector<std::vector<PV>> randomWordSources(const Netlist& nl, unsigned words, Rng& rng,
-                                               bool with_x) {
+std::vector<std::vector<PV>> randomWordSources(const Netlist& nl, unsigned words, Rng& rng) {
     // sources[w][k]: word w's PV for source k (PIs then FF outputs).
     std::vector<std::vector<PV>> s(words);
     const std::size_t n = nl.pis().size() + nl.flipFlops().size();
     for (unsigned w = 0; w < words; ++w) {
         s[w].resize(n);
-        for (PV& p : s[w]) p = with_x ? randomPv(rng) : PV{rng.next(), 0};
+        for (PV& p : s[w]) p = PV{rng.next(), 0};
     }
     return s;
 }
 
-void applyWordSources(PackedSim& sim, const std::vector<std::vector<PV>>& src) {
+void applyWordSources(PatternSim& sim, const std::vector<std::vector<PV>>& src) {
     const Netlist& nl = sim.netlist();
     for (unsigned w = 0; w < src.size(); ++w) {
         std::size_t k = 0;
@@ -113,53 +115,11 @@ void applyWordSources(PackedSim& sim, const std::vector<std::vector<PV>>& src) {
     }
 }
 
-void applySources(PatternSim& sim, const std::vector<PV>& sources) {
-    const Netlist& nl = sim.netlist();
-    std::size_t k = 0;
-    for (const NetId pi : nl.pis()) sim.setNet(pi, sources[k++]);
-    for (const GateId ff : nl.flipFlops()) sim.setNet(nl.gate(ff).output, sources[k++]);
-}
-
-// Each word of the packed engine must match an independent PatternSim run of
-// that word's sources — including X-laden sources.
-void expectMatchesScalarPerWord(const Netlist& nl, unsigned words, std::uint64_t seed,
-                                bool with_x) {
-    PackedSim packed(nl, words);
-    Rng rng(seed);
-    for (int round = 0; round < 6; ++round) {
-        const auto src = randomWordSources(nl, words, rng, with_x);
-        applyWordSources(packed, src);
-        packed.propagate();
-        for (unsigned w = 0; w < words; ++w) {
-            PatternSim ref(nl);
-            applySources(ref, src[w]);
-            ref.propagate();
-            for (NetId n = 0; n < nl.netCount(); ++n)
-                ASSERT_EQ(packed.get(n, w), ref.get(n))
-                    << "net " << nl.net(n).name << " word " << w << " round " << round;
-        }
-    }
-}
-
-TEST(PackedSim, MatchesPatternSimPerWordOnS27) {
-    for (const unsigned words : {1u, 4u, 8u}) expectMatchesScalarPerWord(makeS27(lib()), words, 100 + words, false);
-}
-
-TEST(PackedSim, MatchesPatternSimPerWordOnSyntheticCircuit) {
-    const Netlist nl = makeCircuit("s298", lib());
-    for (const unsigned words : {1u, 4u, 8u}) expectMatchesScalarPerWord(nl, words, 200 + words, false);
-}
-
-TEST(PackedSim, MatchesPatternSimWithUnknowns) {
-    const Netlist nl = makeCircuit("s344", lib());
-    for (const unsigned words : {1u, 4u, 8u}) expectMatchesScalarPerWord(nl, words, 300 + words, true);
-}
-
 TEST(PackedSim, EventDrivenSkipsUnaffectedLogic) {
     const Netlist nl = makeCircuit("s344", lib());
-    PackedSim sim(nl, 4);
+    PatternSim sim(nl, 4);
     Rng rng(303);
-    applyWordSources(sim, randomWordSources(nl, 4, rng, false));
+    applyWordSources(sim, randomWordSources(nl, 4, rng));
     const std::size_t full = sim.propagate();
     EXPECT_GT(full, 0u);
     EXPECT_EQ(sim.propagate(), 0u);
@@ -172,70 +132,114 @@ TEST(PackedSim, EventDrivenSkipsUnaffectedLogic) {
     EXPECT_LT(partial, full);
 }
 
-TEST(PackedSim, ClearFaultRestoresExactPreInjectState) {
-    const Netlist nl = makeS27(lib());
-    PackedSim sim(nl, 4);
-    Rng rng(606);
-    applyWordSources(sim, randomWordSources(nl, 4, rng, false));
-    sim.propagate();
-    std::vector<PV> before(nl.netCount() * 4);
-    for (NetId n = 0; n < nl.netCount(); ++n)
-        for (unsigned w = 0; w < 4; ++w) before[n * 4 + w] = sim.get(n, w);
+/// Every net's value in every word, net-major.
+std::vector<PV> snapshot(const PatternSim& sim) {
+    std::vector<PV> out;
+    for (NetId n = 0; n < sim.netlist().netCount(); ++n)
+        for (unsigned w = 0; w < sim.words(); ++w) out.push_back(sim.get(n, w));
+    return out;
+}
 
-    for (const FaultSite& f : {
-             FaultSite{nl.gate(nl.topoOrder()[0]).output, kInvalidId, -1, true},
-             FaultSite{nl.pis()[0], kInvalidId, -1, false},
-             FaultSite{nl.gate(nl.topoOrder()[1]).inputs[0], nl.topoOrder()[1], 0, true},
-         }) {
-        sim.injectFault(f);
-        sim.propagate();
-        if (!f.isPinFault()) {
-            for (unsigned w = 0; w < 4; ++w) {
-                ASSERT_EQ(sim.get(f.net, w), PV::all(f.stuck_at_one ? Logic::One : Logic::Zero));
+// Packing must not couple words: each word of a multi-word simulator must
+// match a one-word simulator fed only that word's sources, across
+// re-applications on the same multi-word simulator.
+void expectMatchesOneWordPerWord(const Netlist& nl, std::uint64_t seed) {
+    for (const unsigned words : {2u, 4u, kMaxPackedWords}) {
+        PatternSim packed(nl, words);
+        Rng rng(seed + words);
+        for (int round = 0; round < 6; ++round) {
+            const auto src = randomWordSources(nl, words, rng);
+            applyWordSources(packed, src);
+            packed.propagate();
+            for (unsigned w = 0; w < words; ++w) {
+                PatternSim ref(nl);
+                applyWordSources(ref, {src[w]});
+                ref.propagate();
+                for (NetId n = 0; n < nl.netCount(); ++n)
+                    ASSERT_EQ(packed.get(n, w), ref.get(n)) << "net " << nl.net(n).name
+                                                            << " words " << words << " word "
+                                                            << w << " round " << round;
             }
         }
-        sim.clearFault();
-        for (NetId n = 0; n < nl.netCount(); ++n)
-            for (unsigned w = 0; w < 4; ++w)
-                ASSERT_EQ(sim.get(n, w), before[n * 4 + w]) << "net " << nl.net(n).name;
-        sim.propagate();
-        for (NetId n = 0; n < nl.netCount(); ++n)
-            for (unsigned w = 0; w < 4; ++w) ASSERT_EQ(sim.get(n, w), before[n * 4 + w]);
     }
 }
 
-TEST(PackedSim, ToggleCountsImmuneToFaultGrading) {
-    // Grading faults (inject / propagate / clear) must leave toggle counts
-    // exactly as a fault-free run of the same stimuli would.
+TEST(PackedSim, MatchesPatternSimPerWordOnS27) { expectMatchesOneWordPerWord(makeS27(lib()), 100); }
+
+TEST(PackedSim, MatchesPatternSimPerWordOnSyntheticCircuit) {
+    expectMatchesOneWordPerWord(makeCircuit("s298", lib()), 200);
+}
+
+// Multi-word counterpart of PatternSim.ClearFaultRestoresExactPreInjectState:
+// the stuck value must reach every word, and clearFault must restore every
+// word bit-exact with no propagate() needed.
+TEST(PackedSim, ClearFaultRestoresExactPreInjectState) {
     const Netlist nl = makeS27(lib());
-    Rng rng(909);
-    const auto src_a = randomWordSources(nl, 4, rng, false);
-    const auto src_b = randomWordSources(nl, 4, rng, false);
+    for (const unsigned words : {4u, kMaxPackedWords}) {
+        PatternSim sim(nl, words);
+        Rng rng(606);
+        applyWordSources(sim, randomWordSources(nl, words, rng));
+        sim.propagate();
+        const std::vector<PV> before = snapshot(sim);
 
-    PackedSim clean(nl, 4);
-    clean.enableToggleCount(true);
-    applyWordSources(clean, src_a);
-    clean.propagate();
-    applyWordSources(clean, src_b);
-    clean.propagate();
-
-    PackedSim graded(nl, 4);
-    graded.enableToggleCount(true);
-    applyWordSources(graded, src_a);
-    graded.propagate();
-    for (const GateId g : {nl.topoOrder()[0], nl.topoOrder()[2]}) {
-        FaultSite f;
-        f.net = nl.gate(g).output;
-        f.stuck_at_one = true;
-        graded.injectFault(f);
-        graded.propagate();
-        graded.clearFault();
+        for (const FaultSite& f : {
+                 FaultSite{nl.gate(nl.topoOrder()[0]).output, kInvalidId, -1, true},
+                 FaultSite{nl.pis()[0], kInvalidId, -1, false},
+                 FaultSite{nl.gate(nl.topoOrder()[1]).inputs[0], nl.topoOrder()[1], 0, true},
+             }) {
+            sim.injectFault(f);
+            sim.propagate();
+            if (!f.isPinFault()) {
+                for (unsigned w = 0; w < words; ++w)
+                    ASSERT_EQ(sim.get(f.net, w),
+                              PV::all(f.stuck_at_one ? Logic::One : Logic::Zero));
+            }
+            sim.clearFault();
+            ASSERT_EQ(snapshot(sim), before) << "words " << words;
+            EXPECT_EQ(sim.propagate(), 0u);
+            ASSERT_EQ(snapshot(sim), before) << "words " << words;
+        }
     }
-    applyWordSources(graded, src_b);
-    graded.propagate();
+}
 
-    EXPECT_EQ(graded.totalToggles(), clean.totalToggles());
-    EXPECT_EQ(graded.toggleCounts(), clean.toggleCounts());
+// Multi-word counterpart of PatternSim.ToggleCountsImmuneToFaultGrading:
+// grading faults (inject / propagate / clear) must leave the toggle counts
+// of every word exactly as a fault-free run of the same stimuli would.
+TEST(PackedSim, ToggleCountsImmuneToFaultGrading) {
+    const Netlist nl = makeS27(lib());
+    for (const unsigned words : {4u, kMaxPackedWords}) {
+        Rng rng(909);
+        const auto src_a = randomWordSources(nl, words, rng);
+        const auto src_b = randomWordSources(nl, words, rng);
+
+        PatternSim clean(nl, words);
+        clean.enableToggleCount(true);
+        applyWordSources(clean, src_a);
+        clean.propagate();
+        applyWordSources(clean, src_b);
+        clean.propagate();
+
+        PatternSim graded(nl, words);
+        graded.enableToggleCount(true);
+        applyWordSources(graded, src_a);
+        graded.propagate();
+        for (const GateId g : {nl.topoOrder()[0], nl.topoOrder()[2]}) {
+            for (const bool sa1 : {false, true}) {
+                FaultSite f;
+                f.net = nl.gate(g).output;
+                f.stuck_at_one = sa1;
+                graded.injectFault(f);
+                graded.propagate();
+                graded.clearFault();
+            }
+        }
+        applyWordSources(graded, src_b);
+        graded.propagate();
+
+        EXPECT_GT(clean.totalToggles(), 0u);
+        EXPECT_EQ(graded.totalToggles(), clean.totalToggles()) << "words " << words;
+        EXPECT_EQ(graded.toggleCounts(), clean.toggleCounts()) << "words " << words;
+    }
 }
 
 // ---------------------------------------------------------- fault bitmaps ----
@@ -249,15 +253,15 @@ std::vector<TwoPattern> randomTests(const Netlist& nl, std::size_t count, std::u
 }
 
 // The packed engine at any width must produce the identical detected bitmap
-// to the scalar oracle (words = 0), including for partial final blocks.
+// to the reference grader (words = 0), including for partial final blocks.
 TEST(PackedFaultSim, StuckAtBitmapsMatchScalarOracle) {
     const Netlist nl = makeCircuit("s386", lib());
     const auto faults = collapsedStuckAtFaults(nl);
     for (const std::size_t count : {37u, 100u, 130u, 520u}) {
         const auto pats = randomPatterns(nl, count, 42 + count);
-        FaultSimOptions scalar;
-        scalar.words = 0;
-        const FaultSimResult want = runStuckAtFaultSim(nl, pats, faults, scalar);
+        FaultSimOptions reference;
+        reference.words = 0;
+        const FaultSimResult want = runStuckAtFaultSim(nl, pats, faults, reference);
         for (const unsigned words : {1u, 4u, 8u}) {
             FaultSimOptions opts;
             opts.words = words;
@@ -274,9 +278,9 @@ TEST(PackedFaultSim, TransitionBitmapsMatchScalarOracle) {
     const auto faults = allTransitionFaults(nl);
     for (const std::size_t count : {50u, 130u}) {
         const auto tests = randomTests(nl, count, 7 + count);
-        FaultSimOptions scalar;
-        scalar.words = 0;
-        const FaultSimResult want = runTransitionFaultSim(nl, tests, faults, scalar);
+        FaultSimOptions reference;
+        reference.words = 0;
+        const FaultSimResult want = runTransitionFaultSim(nl, tests, faults, reference);
         for (const unsigned words : {1u, 4u, 8u}) {
             FaultSimOptions opts;
             opts.words = words;
@@ -291,9 +295,9 @@ TEST(PackedFaultSim, NDetectCountsMatchScalarOracle) {
     const Netlist nl = makeCircuit("s298", lib());
     const auto faults = allTransitionFaults(nl);
     const auto tests = randomTests(nl, 130, 99);
-    FaultSimOptions scalar;
-    scalar.words = 0;
-    const auto want = countTransitionDetections(nl, tests, faults, scalar);
+    FaultSimOptions reference;
+    reference.words = 0;
+    const auto want = countTransitionDetections(nl, tests, faults, reference);
     for (const unsigned words : {1u, 4u, 8u}) {
         FaultSimOptions opts;
         opts.words = words;

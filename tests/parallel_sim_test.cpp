@@ -192,7 +192,7 @@ TEST(ParallelFaultSim, MoreThreadsThanFaults) {
 
 TEST(ParallelFaultSim, DeterministicAcrossThreadsAndWordWidths) {
     // The detected bitmap is a pure function of the pattern set: every
-    // (threads, words) combination — scalar oracle included — must agree.
+    // (threads, words) combination — reference grader included — must agree.
     Netlist nl = makeCircuit("s344", lib());
     insertScan(nl);
     const auto faults = allTransitionFaults(nl);

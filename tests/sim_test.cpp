@@ -12,6 +12,10 @@ const Library& lib() {
     return l;
 }
 
+// Widths the engine tests run at: one word, and several words (the packed
+// SIMD path, with every word carrying different stimuli).
+constexpr unsigned kWidths[] = {1, 4};
+
 // Oracle: straight topological evaluation with fresh state.
 std::vector<PV> oracleEval(const Netlist& nl, const std::vector<PV>& sources) {
     // sources: values for PIs then FF outputs, in order.
@@ -28,44 +32,80 @@ std::vector<PV> oracleEval(const Netlist& nl, const std::vector<PV>& sources) {
     return val;
 }
 
-std::vector<PV> randomSources(const Netlist& nl, Rng& rng) {
-    std::vector<PV> s(nl.pis().size() + nl.flipFlops().size());
-    for (PV& v : s) v = PV{rng.next(), 0};
+/// Per-word stimuli: src[w] holds word w's values for the PIs, then the FF
+/// outputs.
+using Sources = std::vector<std::vector<PV>>;
+
+Sources randomSources(const Netlist& nl, Rng& rng, unsigned words = 1, bool with_x = false) {
+    Sources s(words, std::vector<PV>(nl.pis().size() + nl.flipFlops().size()));
+    for (auto& word : s)
+        for (PV& v : word) {
+            const std::uint64_t x = with_x ? rng.next() & rng.next() : 0; // sparse unknowns
+            v = PV{rng.next() & ~x, x};
+        }
     return s;
 }
 
-void applySources(PatternSim& sim, const std::vector<PV>& sources) {
-    const Netlist& nl = sim.netlist();
-    std::size_t k = 0;
-    for (const NetId pi : nl.pis()) sim.setNet(pi, sources[k++]);
-    for (const GateId ff : nl.flipFlops()) sim.setNet(nl.gate(ff).output, sources[k++]);
+Sources flipped(Sources s) {
+    for (auto& word : s)
+        for (PV& v : word) v = PV{~v.v, 0};
+    return s;
 }
 
-TEST(PatternSim, MatchesOracleOnS27) {
-    const Netlist nl = makeS27(lib());
-    PatternSim sim(nl);
-    Rng rng(101);
-    for (int round = 0; round < 20; ++round) {
-        const auto src = randomSources(nl, rng);
-        applySources(sim, src);
-        sim.propagate();
-        const auto want = oracleEval(nl, src);
-        for (NetId n = 0; n < nl.netCount(); ++n)
-            ASSERT_EQ(sim.get(n), want[n]) << "net " << nl.net(n).name << " round " << round;
+void applySources(PatternSim& sim, const Sources& src) {
+    const Netlist& nl = sim.netlist();
+    for (unsigned w = 0; w < src.size(); ++w) {
+        std::size_t k = 0;
+        for (const NetId pi : nl.pis()) sim.setNet(pi, w, src[w][k++]);
+        for (const GateId ff : nl.flipFlops()) sim.setNet(nl.gate(ff).output, w, src[w][k++]);
     }
 }
+
+/// Every net's value in every word, net-major.
+std::vector<PV> snapshot(const PatternSim& sim) {
+    std::vector<PV> out;
+    for (NetId n = 0; n < sim.netlist().netCount(); ++n)
+        for (unsigned w = 0; w < sim.words(); ++w) out.push_back(sim.get(n, w));
+    return out;
+}
+
+/// A simulator at `words` words fed `src`, fully propagated.
+PatternSim settled(const Netlist& nl, const Sources& src) {
+    PatternSim sim(nl, static_cast<unsigned>(src.size()));
+    applySources(sim, src);
+    sim.propagate();
+    return sim;
+}
+
+/// Each word of the engine must match an independent oracle run of that
+/// word's sources, across re-applications on the same simulator.
+void expectMatchesOraclePerWord(const Netlist& nl, std::uint64_t seed, int rounds, bool with_x) {
+    for (const unsigned words : {1u, 4u, kMaxPackedWords}) {
+        PatternSim sim(nl, words);
+        Rng rng(seed + words);
+        for (int round = 0; round < rounds; ++round) {
+            const Sources src = randomSources(nl, rng, words, with_x);
+            applySources(sim, src);
+            sim.propagate();
+            for (unsigned w = 0; w < words; ++w) {
+                const auto want = oracleEval(nl, src[w]);
+                for (NetId n = 0; n < nl.netCount(); ++n)
+                    ASSERT_EQ(sim.get(n, w), want[n]) << "net " << nl.net(n).name << " words "
+                                                      << words << " word " << w << " round "
+                                                      << round;
+            }
+        }
+    }
+}
+
+TEST(PatternSim, MatchesOracleOnS27) { expectMatchesOraclePerWord(makeS27(lib()), 101, 20, false); }
 
 TEST(PatternSim, MatchesOracleOnSyntheticCircuit) {
-    const Netlist nl = makeCircuit("s298", lib());
-    PatternSim sim(nl);
-    Rng rng(202);
-    for (int round = 0; round < 10; ++round) {
-        const auto src = randomSources(nl, rng);
-        applySources(sim, src);
-        sim.propagate();
-        const auto want = oracleEval(nl, src);
-        for (NetId n = 0; n < nl.netCount(); ++n) ASSERT_EQ(sim.get(n), want[n]);
-    }
+    expectMatchesOraclePerWord(makeCircuit("s298", lib()), 202, 10, false);
+}
+
+TEST(PatternSim, MatchesOracleWithUnknowns) {
+    expectMatchesOraclePerWord(makeCircuit("s344", lib()), 300, 6, true);
 }
 
 TEST(PatternSim, EventDrivenSkipsUnaffectedLogic) {
@@ -88,37 +128,59 @@ TEST(PatternSim, EventDrivenSkipsUnaffectedLogic) {
 
 TEST(PatternSim, HeldGateFreezesOutput) {
     const Netlist nl = makeS27(lib());
-    PatternSim sim(nl);
-    Rng rng(404);
-    const auto src = randomSources(nl, rng);
-    applySources(sim, src);
-    sim.propagate();
-
     const GateId g = nl.uniqueFirstLevelGates()[0];
     const NetId out = nl.gate(g).output;
-    const PV before = sim.get(out);
+    for (const unsigned W : kWidths) {
+        Rng rng(404);
+        const Sources src = randomSources(nl, rng, W);
+        PatternSim sim = settled(nl, src);
+        std::vector<PV> before(W);
+        for (unsigned w = 0; w < W; ++w) before[w] = sim.get(out, w);
 
+        sim.setHeld(g, true);
+        EXPECT_TRUE(sim.isHeld(g));
+        // Change every source; the held gate's output must not move.
+        applySources(sim, flipped(src));
+        sim.propagate();
+        for (unsigned w = 0; w < W; ++w) EXPECT_EQ(sim.get(out, w), before[w]) << "W " << W;
+
+        // Releasing re-evaluates with the *current* inputs.
+        sim.setHeld(g, false);
+        EXPECT_FALSE(sim.isHeld(g));
+        sim.propagate();
+        for (unsigned w = 0; w < W; ++w)
+            EXPECT_EQ(sim.get(out, w), oracleEval(nl, flipped(src)[w])[out]) << "W " << W;
+    }
+}
+
+TEST(PatternSim, HoldRequiresQuiescentSimulator) {
+    // A held gate is never queued, so holding with events pending would let
+    // an already-queued gate escape the hold: it is refused instead.
+    const Netlist nl = makeS27(lib());
+    const GateId g = nl.uniqueFirstLevelGates()[0];
+    PatternSim sim(nl);
+    Rng rng(405);
+    applySources(sim, randomSources(nl, rng));
+    EXPECT_THROW(sim.setHeld(g, true), std::logic_error);
+    EXPECT_FALSE(sim.isHeld(g));
+    sim.propagate();
     sim.setHeld(g, true);
-    // Change every source; the held gate's output must not move.
-    auto flipped = src;
-    for (PV& v : flipped) v = PV{~v.v, 0};
-    applySources(sim, flipped);
-    sim.propagate();
-    EXPECT_EQ(sim.get(out), before);
-
-    // Releasing re-evaluates with the *current* inputs.
+    EXPECT_TRUE(sim.isHeld(g));
+    // Releasing needs no settled state, and reset() drops every hold.
+    sim.setNet(nl.pis()[0], PV::all(Logic::One));
     sim.setHeld(g, false);
+    EXPECT_FALSE(sim.isHeld(g));
     sim.propagate();
-    const auto want = oracleEval(nl, flipped);
-    EXPECT_EQ(sim.get(out), want[out]);
+    sim.setHeld(g, true);
+    sim.reset();
+    EXPECT_FALSE(sim.isHeld(g));
 }
 
 TEST(PatternSim, OutputStuckFaultForcesNet) {
     const Netlist nl = makeS27(lib());
-    PatternSim sim(nl);
     Rng rng(505);
-    applySources(sim, randomSources(nl, rng));
-    sim.propagate();
+    const Sources src = randomSources(nl, rng);
+    PatternSim sim = settled(nl, src);
 
     const GateId g = nl.topoOrder()[0];
     const NetId out = nl.gate(g).output;
@@ -132,15 +194,7 @@ TEST(PatternSim, OutputStuckFaultForcesNet) {
     sim.clearFault();
     sim.propagate();
     // Good value restored.
-    PatternSim fresh(nl);
-    applySources(fresh, randomSources(nl, rng)); // NOTE: rng advanced; reseed below
-    // Rebuild the reference deterministically instead:
-    Rng rng2(505);
-    const auto src = randomSources(nl, rng2);
-    PatternSim ref(nl);
-    applySources(ref, src);
-    ref.propagate();
-    for (NetId n = 0; n < nl.netCount(); ++n) EXPECT_EQ(sim.get(n), ref.get(n));
+    EXPECT_EQ(snapshot(sim), snapshot(settled(nl, src)));
 }
 
 TEST(PatternSim, PinStuckFaultAffectsOnlyThatBranch) {
@@ -155,33 +209,73 @@ TEST(PatternSim, PinStuckFaultAffectsOnlyThatBranch) {
     nl.markPo(y1);
     nl.markPo(y2);
 
-    PatternSim sim(nl);
-    sim.setNet(a, PV::all(Logic::Zero));
-    sim.propagate();
-    EXPECT_EQ(sim.get(y1), PV::all(Logic::One));
+    for (const unsigned W : kWidths) {
+        PatternSim sim(nl, W);
+        for (unsigned w = 0; w < W; ++w) sim.setNet(a, w, PV::all(Logic::Zero));
+        sim.propagate();
+        EXPECT_EQ(sim.get(y1, W - 1), PV::all(Logic::One));
 
-    FaultSite f;
-    f.net = a;
-    f.gate = g1;
-    f.pin = 0;
-    f.stuck_at_one = true;
-    sim.injectFault(f);
-    sim.propagate();
-    EXPECT_EQ(sim.get(y1), PV::all(Logic::Zero)); // faulty branch
-    EXPECT_EQ(sim.get(y2), PV::all(Logic::One));  // healthy branch
+        FaultSite f;
+        f.net = a;
+        f.gate = g1;
+        f.pin = 0;
+        f.stuck_at_one = true;
+        sim.injectFault(f);
+        sim.propagate();
+        for (unsigned w = 0; w < W; ++w) {
+            EXPECT_EQ(sim.get(y1, w), PV::all(Logic::Zero)) << "W " << W; // faulty branch
+            EXPECT_EQ(sim.get(y2, w), PV::all(Logic::One)) << "W " << W;  // healthy branch
+        }
+    }
+}
+
+TEST(PatternSim, PinFaultOutsideGateInputsIsRejected) {
+    // A pin fault names an input pin of its receiving gate; any other pin
+    // (or no gate at all) is refused up front instead of being evaluated.
+    const Netlist nl = makeS27(lib());
+    const GateId g = nl.topoOrder()[1];
+    const int arity = static_cast<int>(nl.gate(g).inputs.size());
+    for (const unsigned W : kWidths) {
+        Rng rng(515);
+        const Sources src = randomSources(nl, rng, W);
+        PatternSim sim = settled(nl, src);
+        const std::vector<PV> before = snapshot(sim);
+        for (const FaultSite& f : {
+                 FaultSite{nl.gate(g).inputs[0], g, arity, true},
+                 FaultSite{nl.gate(g).inputs[0], g, static_cast<int>(kMaxGateArity) + 3, false},
+                 FaultSite{nl.gate(g).inputs[0], kInvalidId, 0, true},
+             }) {
+            EXPECT_THROW(sim.injectFault(f), std::invalid_argument) << "pin " << f.pin;
+            EXPECT_EQ(sim.propagate(), 0u);
+            EXPECT_EQ(snapshot(sim), before);
+        }
+        // The last pin is still a valid site.
+        sim.injectFault(FaultSite{nl.gate(g).inputs.back(), g, arity - 1, true});
+        sim.propagate();
+        sim.clearFault();
+        EXPECT_EQ(snapshot(sim), before);
+    }
+}
+
+TEST(PatternSim, WordIndexOutOfRangeThrows) {
+    const Netlist nl = makeS27(lib());
+    const NetId pi = nl.pis()[0];
+    for (const unsigned W : kWidths) {
+        PatternSim sim(nl, W);
+        EXPECT_NO_THROW((void)sim.get(pi, W - 1));
+        EXPECT_THROW((void)sim.get(pi, W), std::out_of_range);
+        EXPECT_THROW((void)sim.get(pi, W, 0), std::out_of_range);
+        EXPECT_THROW(sim.setNet(pi, W, PV::all(Logic::One)), std::out_of_range);
+        // The one-word accessor checks the net only.
+        EXPECT_THROW((void)sim.get(static_cast<NetId>(nl.netCount())), std::out_of_range);
+    }
 }
 
 TEST(PatternSim, SlotMaskedFaultLeavesOtherSlotsGood) {
-    // A slot-masked fault forces only the masked slots: they must match a
-    // run with the fault in every slot, and every other slot must match a
-    // fault-free run. Covers a net fault and a pin fault.
+    // A slot-masked fault forces only the masked slots of every word: they
+    // must match a run with the fault in every slot, and every other slot
+    // must match a fault-free run. Covers a net fault and a pin fault.
     const Netlist nl = makeS27(lib());
-    Rng rng(606);
-    const auto src = randomSources(nl, rng);
-    PatternSim good(nl);
-    applySources(good, src);
-    good.propagate();
-
     // Output fault on the first gate; pin fault on the last gate's pin 0.
     const GateId first = nl.topoOrder().front();
     const GateId last = nl.topoOrder().back();
@@ -192,48 +286,49 @@ TEST(PatternSim, SlotMaskedFaultLeavesOtherSlotsGood) {
     const auto sameIn = [](PV a, PV b, std::uint64_t m) {
         return ((a.v ^ b.v) & m) == 0 && ((a.x ^ b.x) & m) == 0;
     };
-    for (const FaultSite& f : {net_fault, pin_fault}) {
-        PatternSim full(nl);
-        applySources(full, src);
-        full.propagate();
-        full.injectFault(f);
-        full.propagate();
+    for (const unsigned W : kWidths) {
+        Rng rng(606);
+        const Sources src = randomSources(nl, rng, W);
+        const PatternSim good = settled(nl, src);
+        for (const FaultSite& f : {net_fault, pin_fault}) {
+            PatternSim full = settled(nl, src);
+            full.injectFault(f);
+            full.propagate();
 
-        PatternSim sim(nl);
-        applySources(sim, src);
-        sim.propagate();
-        sim.injectFault(f, mask);
-        sim.propagate();
-        if (!f.isPinFault()) {
-            EXPECT_TRUE(sameIn(sim.get(f.net), PV::all(f.stuck_at_one ? Logic::One : Logic::Zero),
-                               mask));
-        }
-        bool differs = false;
-        for (NetId n = 0; n < nl.netCount(); ++n) {
-            EXPECT_TRUE(sameIn(sim.get(n), full.get(n), mask)) << nl.net(n).name;
-            EXPECT_TRUE(sameIn(sim.get(n), good.get(n), ~mask)) << nl.net(n).name;
-            differs = differs || !sameIn(full.get(n), good.get(n), mask);
-        }
-        EXPECT_TRUE(differs) << "fault never excited in the masked slots";
+            PatternSim sim = settled(nl, src);
+            sim.injectFault(f, mask);
+            sim.propagate();
+            bool differs = false;
+            for (unsigned w = 0; w < W; ++w) {
+                if (!f.isPinFault()) {
+                    EXPECT_TRUE(sameIn(sim.get(f.net, w),
+                                       PV::all(f.stuck_at_one ? Logic::One : Logic::Zero), mask));
+                }
+                for (NetId n = 0; n < nl.netCount(); ++n) {
+                    EXPECT_TRUE(sameIn(sim.get(n, w), full.get(n, w), mask)) << nl.net(n).name;
+                    EXPECT_TRUE(sameIn(sim.get(n, w), good.get(n, w), ~mask)) << nl.net(n).name;
+                    differs = differs || !sameIn(full.get(n, w), good.get(n, w), mask);
+                }
+            }
+            EXPECT_TRUE(differs) << "fault never excited in the masked slots";
 
-        // reset() drops the fault and its mask.
-        sim.reset();
-        applySources(sim, src);
-        sim.propagate();
-        for (NetId n = 0; n < nl.netCount(); ++n) EXPECT_EQ(sim.get(n), good.get(n));
+            // reset() drops the fault and its mask.
+            sim.reset();
+            applySources(sim, src);
+            sim.propagate();
+            EXPECT_EQ(snapshot(sim), snapshot(good));
+        }
     }
 }
 
 TEST(PatternSim, ClearFaultRestoresExactPreInjectState) {
     // clearFault restores via the recorded event frontier: every net must
-    // come back bit-exact immediately, with no propagate() needed.
+    // come back bit-exact immediately, with no propagate() needed. The
+    // multi-word case is in packed_sim_test.cpp.
     const Netlist nl = makeS27(lib());
-    PatternSim sim(nl);
     Rng rng(606);
-    applySources(sim, randomSources(nl, rng));
-    sim.propagate();
-    std::vector<PV> before(nl.netCount());
-    for (NetId n = 0; n < nl.netCount(); ++n) before[n] = sim.get(n);
+    PatternSim sim = settled(nl, randomSources(nl, rng));
+    const std::vector<PV> before = snapshot(sim);
 
     for (const FaultSite& f : {
              FaultSite{nl.gate(nl.topoOrder()[0]).output, kInvalidId, -1, true},
@@ -242,12 +337,14 @@ TEST(PatternSim, ClearFaultRestoresExactPreInjectState) {
          }) {
         sim.injectFault(f);
         sim.propagate();
+        if (!f.isPinFault()) {
+            ASSERT_EQ(sim.get(f.net), PV::all(f.stuck_at_one ? Logic::One : Logic::Zero));
+        }
         sim.clearFault();
-        for (NetId n = 0; n < nl.netCount(); ++n)
-            ASSERT_EQ(sim.get(n), before[n]) << "net " << nl.net(n).name;
+        ASSERT_EQ(snapshot(sim), before);
         // A follow-up propagate must also be a no-op.
-        sim.propagate();
-        for (NetId n = 0; n < nl.netCount(); ++n) ASSERT_EQ(sim.get(n), before[n]);
+        EXPECT_EQ(sim.propagate(), 0u);
+        ASSERT_EQ(snapshot(sim), before);
     }
 }
 
@@ -255,11 +352,8 @@ TEST(PatternSim, ResetClearsFaultState) {
     // Regression: a net-fault restore value recorded before reset() must not
     // leak into a clearFault() issued after the reset.
     const Netlist nl = makeS27(lib());
-    PatternSim sim(nl);
     Rng rng(707);
-    const auto src_a = randomSources(nl, rng);
-    applySources(sim, src_a);
-    sim.propagate();
+    PatternSim sim = settled(nl, randomSources(nl, rng));
 
     FaultSite f;
     f.net = nl.pis()[0]; // source net: old code restored a saved value
@@ -268,27 +362,21 @@ TEST(PatternSim, ResetClearsFaultState) {
     sim.propagate();
 
     sim.reset();
-    const auto src_b = randomSources(nl, rng);
+    const Sources src_b = randomSources(nl, rng);
     applySources(sim, src_b);
     sim.propagate();
     sim.clearFault(); // no fault active: must be a complete no-op
     sim.propagate();
 
-    PatternSim ref(nl);
-    applySources(ref, src_b);
-    ref.propagate();
-    for (NetId n = 0; n < nl.netCount(); ++n)
-        EXPECT_EQ(sim.get(n), ref.get(n)) << "net " << nl.net(n).name;
+    EXPECT_EQ(snapshot(sim), snapshot(settled(nl, src_b)));
 }
 
 TEST(PatternSim, ResetThenReinjectGradesCleanly) {
     // PODEM-style usage: reset, re-inject, assign sources with the fault
     // active. The stale undo log from before the reset must be gone.
     const Netlist nl = makeS27(lib());
-    PatternSim sim(nl);
     Rng rng(808);
-    applySources(sim, randomSources(nl, rng));
-    sim.propagate();
+    PatternSim sim = settled(nl, randomSources(nl, rng));
     FaultSite f;
     f.net = nl.gate(nl.topoOrder()[0]).output;
     f.stuck_at_one = true;
@@ -297,7 +385,7 @@ TEST(PatternSim, ResetThenReinjectGradesCleanly) {
 
     sim.reset();
     sim.injectFault(f);
-    const auto src = randomSources(nl, rng);
+    const Sources src = randomSources(nl, rng);
     applySources(sim, src);
     sim.propagate();
     EXPECT_EQ(sim.get(f.net), PV::all(Logic::One)); // fault holds
@@ -308,11 +396,7 @@ TEST(PatternSim, ResetThenReinjectGradesCleanly) {
     sim.clearFault();
     applySources(sim, src);
     sim.propagate();
-    PatternSim ref(nl);
-    applySources(ref, src);
-    ref.propagate();
-    for (NetId n = 0; n < nl.netCount(); ++n)
-        EXPECT_EQ(sim.get(n), ref.get(n)) << "net " << nl.net(n).name;
+    EXPECT_EQ(snapshot(sim), snapshot(settled(nl, src)));
 }
 
 TEST(PatternSim, ToggleCounting) {
@@ -322,17 +406,19 @@ TEST(PatternSim, ToggleCounting) {
     nl.addGate(CellFn::Inv, {a}, y);
     nl.markPo(y);
 
-    PatternSim sim(nl);
-    sim.enableToggleCount(true);
-    sim.setNet(a, PV::all(Logic::Zero));
-    sim.propagate();
-    sim.clearToggleCounts(); // ignore the X->known initialization edge
-    sim.setNet(a, PV::all(Logic::One));
-    sim.propagate();
-    // 64 slots flipped on both nets.
-    EXPECT_EQ(sim.toggleCounts()[a], 64u);
-    EXPECT_EQ(sim.toggleCounts()[y], 64u);
-    EXPECT_EQ(sim.totalToggles(), 128u);
+    for (const unsigned W : kWidths) {
+        PatternSim sim(nl, W);
+        sim.enableToggleCount(true);
+        for (unsigned w = 0; w < W; ++w) sim.setNet(a, w, PV::all(Logic::Zero));
+        sim.propagate();
+        sim.clearToggleCounts(); // ignore the X->known initialization edge
+        for (unsigned w = 0; w < W; ++w) sim.setNet(a, w, PV::all(Logic::One));
+        sim.propagate();
+        // 64 slots of every word flipped on both nets.
+        EXPECT_EQ(sim.toggleCounts()[a], 64u * W);
+        EXPECT_EQ(sim.toggleCounts()[y], 64u * W);
+        EXPECT_EQ(sim.totalToggles(), 128u * W);
+    }
 }
 
 TEST(PatternSim, ToggleCountsImmuneToFaultGrading) {
@@ -340,10 +426,11 @@ TEST(PatternSim, ToggleCountsImmuneToFaultGrading) {
     // injected, so PPSFP grading contaminated the power numbers with faulty
     // excursions. Counting is now suspended while a fault is active: grading
     // must leave the counts exactly as a fault-free run of the same stimuli.
+    // The multi-word case is in packed_sim_test.cpp.
     const Netlist nl = makeS27(lib());
     Rng rng(1001);
-    const auto src_a = randomSources(nl, rng);
-    const auto src_b = randomSources(nl, rng);
+    const Sources src_a = randomSources(nl, rng);
+    const Sources src_b = randomSources(nl, rng);
 
     PatternSim clean(nl);
     clean.enableToggleCount(true);
@@ -369,6 +456,7 @@ TEST(PatternSim, ToggleCountsImmuneToFaultGrading) {
     applySources(graded, src_b);
     graded.propagate();
 
+    EXPECT_GT(clean.totalToggles(), 0u);
     EXPECT_EQ(graded.totalToggles(), clean.totalToggles());
     EXPECT_EQ(graded.toggleCounts(), clean.toggleCounts());
 }
@@ -493,6 +581,32 @@ TEST_P(ShiftActivity, CombTogglesFollowHoldStyle) {
 INSTANTIATE_TEST_SUITE_P(AllStyles, ShiftActivity,
                          ::testing::Values(HoldStyle::None, HoldStyle::EnhancedScan,
                                            HoldStyle::MuxHold, HoldStyle::Flh));
+
+TEST(SequentialSim, FlhHoldKeepsSettledOutputsOfPendingState) {
+    // Holding settles first: a state driven but not yet propagated reaches
+    // the first level before the supply gating freezes it, so a scan load
+    // started right after setState holds the logic of that state.
+    const Netlist nl = makeCircuit("s344", lib());
+    Rng rng(6);
+    std::vector<PV> st(nl.flipFlops().size());
+    for (PV& p : st) p = PV{rng.next(), 0};
+    const std::vector<PV> pis(nl.pis().size(), PV::all(Logic::Zero));
+
+    SequentialSim seq(nl, HoldStyle::Flh);
+    seq.setPis(pis);
+    seq.setState(st);
+    seq.setHolding(true);
+    for (std::size_t i = 0; i < seq.ffCount(); ++i) seq.shift(PV{rng.next(), 0});
+
+    SequentialSim ref(nl);
+    ref.setPis(pis);
+    ref.setState(st);
+    ref.settle();
+    for (const GateId g : nl.uniqueFirstLevelGates()) {
+        EXPECT_TRUE(seq.sim().isHeld(g));
+        EXPECT_EQ(seq.sim().get(nl.gate(g).output), ref.sim().get(nl.gate(g).output));
+    }
+}
 
 TEST(SequentialSim, FlhHoldAndReleaseRestoresConsistency) {
     const Netlist nl = makeCircuit("s344", lib());
