@@ -15,7 +15,7 @@
 //   stdout             per-stage console table + summary
 //   --trace FILE       Chrome trace_event JSON (chrome://tracing /
 //                      Perfetto): one lane per worker thread, spans for
-//                      every stage, cache probe, and fault-sim partition
+//                      every stage, cache probe, and fault-sim stripe
 //   --metrics FILE     flat telemetry counters/gauges
 //   --bench-json FILE  BENCH_flow.json bench-trajectory export (provenance
 //                      envelope, per-stage entries, legacy payload under

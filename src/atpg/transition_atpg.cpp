@@ -224,19 +224,24 @@ bool TopOff::tryAddTest(std::size_t fi, const TwoPattern& tp) {
     // Already-detected faults cannot change detected_mask, so grading
     // covers only the open ones. `fi` is open: commit runs only for those.
     // Slot 0 of the grader's one word holds the test.
-    grader_.loadBlock({&tp.v1, 1}, {&tp.v2, 1}, 0, 1);
-    const auto detects = [&](const TransitionFault& tf) {
-        const std::uint64_t valid = 1;
-        std::uint64_t init_ok = 0;
-        std::uint64_t hit = 0;
-        return grader_.launchMask(tf, &valid, &init_ok) != 0 &&
-               grader_.detectMask(tf, &init_ok, &hit) != 0;
-    };
+    grader_.loadBlock({&tp, 1}, 0, 1);
+    const std::uint64_t valid = 1;
+    std::uint64_t hit[TransitionGrader::kMaxGroup];
     // A test that misses its target is rejected before the others are graded.
-    if (!detects(faults_[fi])) return false;
-    hit_.resize(open_idx_.size());
-    for (std::size_t j = 0; j < open_idx_.size(); ++j)
-        hit_[j] = open_idx_[j] == fi || detects(open_faults_[j]);
+    if (!grader_.grade({&faults_[fi], 1}, &valid, hit)) return false;
+    // Adjacent open faults on one net share a grading call; a fault list
+    // that keeps a net's two polarities together (allTransitionFaults
+    // does) keeps them adjacent here, since the open list is ascending.
+    const std::size_t n_open = open_idx_.size();
+    hit_.resize(n_open);
+    for (std::size_t j = 0; j < n_open;) {
+        const std::size_t end =
+            j + 1 < n_open && open_faults_[j + 1].net == open_faults_[j].net ? j + 2 : j + 1;
+        const unsigned found =
+            grader_.grade(std::span(open_faults_).subspan(j, end - j), &valid, hit);
+        for (std::size_t k = j; k < end; ++k) hit_[k] = (found >> (k - j)) & 1;
+        j = end;
+    }
     std::size_t kept = 0;
     {
         const std::lock_guard lock(mu_);

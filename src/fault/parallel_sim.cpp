@@ -6,6 +6,7 @@
 #include <atomic>
 #include <bit>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -13,28 +14,26 @@ namespace flh {
 
 namespace {
 
-/// Load up to 64 patterns into the simulator (slot i = pattern i); missing
+/// Load up to 64 patterns into the simulator (slot i = `at(i)`); missing
 /// slots repeat the last pattern so they never create spurious detections
-/// (their detection bits are masked off by `valid`).
-void loadPatterns(PatternSim& sim, std::span<const Pattern> pats, std::size_t base,
-                  std::size_t count) {
+/// (their detection bits are masked off by `valid`). `at(i)` returns the
+/// block's pattern i, i < count: a stuck-at pattern or one half of a
+/// two-pattern test, read in place.
+template <class PatternAt>
+void loadPatterns(PatternSim& sim, std::size_t count, const PatternAt& at) {
     const Netlist& nl = sim.netlist();
     const auto& pis = nl.pis();
     const auto& ffs = nl.flipFlops();
     for (std::size_t k = 0; k < pis.size(); ++k) {
         PV v;
-        for (unsigned slot = 0; slot < 64; ++slot) {
-            const Pattern& p = pats[base + std::min<std::size_t>(slot, count - 1)];
-            v.set(slot, p.pis.at(k));
-        }
+        for (unsigned slot = 0; slot < 64; ++slot)
+            v.set(slot, at(std::min<std::size_t>(slot, count - 1)).pis.at(k));
         sim.setNet(pis[k], v);
     }
     for (std::size_t k = 0; k < ffs.size(); ++k) {
         PV v;
-        for (unsigned slot = 0; slot < 64; ++slot) {
-            const Pattern& p = pats[base + std::min<std::size_t>(slot, count - 1)];
-            v.set(slot, p.state.at(k));
-        }
+        for (unsigned slot = 0; slot < 64; ++slot)
+            v.set(slot, at(std::min<std::size_t>(slot, count - 1)).state.at(k));
         sim.setNet(nl.gate(ffs[k]).output, v);
     }
     sim.propagate();
@@ -81,13 +80,13 @@ private:
 
 /// Telemetry hooks shared by the three grading engines. Counter lookups
 /// happen once per process (static refs); workers accumulate locally and
-/// flush once per partition so the enabled path adds no per-fault atomics.
+/// flush once per stripe so the enabled path adds no per-fault atomics.
 struct SimTelemetry {
     obs::Counter& graded = obs::counter("fault_sim.faults_graded");
     obs::Counter& detected = obs::counter("fault_sim.faults_detected");
     obs::Counter& dropped = obs::counter("fault_sim.faults_dropped");
     obs::Counter& batches = obs::counter("fault_sim.batches");
-    obs::Counter& partitions = obs::counter("fault_sim.partitions");
+    obs::Counter& stripes = obs::counter("fault_sim.stripes");
 
     static const SimTelemetry& get() {
         static const SimTelemetry t;
@@ -96,7 +95,7 @@ struct SimTelemetry {
 };
 
 /// Worker-local accumulators, flushed to the shared counters when the
-/// worker's partition finishes.
+/// worker's stripe finishes.
 struct WorkerTally {
     std::uint64_t graded = 0;
     std::uint64_t detected = 0;
@@ -109,45 +108,69 @@ struct WorkerTally {
         t.detected.add(detected);
         t.dropped.add(dropped);
         t.batches.add(batches);
-        t.partitions.add(1);
+        t.stripes.add(1);
     }
 };
 
-/// Span label for one worker's contiguous fault range.
-std::string partitionLabel(const char* engine, std::size_t lo, std::size_t hi) {
-    return std::string(engine) + ":partition[" + std::to_string(lo) + "," +
-           std::to_string(hi) + ")";
+/// Faults per stripe chunk. Even, so a net's slow-to-rise / slow-to-fall
+/// pair (adjacent in allTransitionFaults) never straddles two chunks; 64, so
+/// each chunk owns whole words of the DetectedBitmap.
+constexpr std::size_t kStripeChunk = 64;
+
+/// One worker's share of a fault list of `n`: chunks w, w + t, w + 2t, ...
+/// of kStripeChunk consecutive faults. Faults with large cones cluster in
+/// the list (they come from the same region of the netlist), so dealing
+/// chunks out round-robin balances the workers where contiguous ranges
+/// would leave one worker with most of the work.
+struct Stripe {
+    std::size_t n;
+    unsigned w;
+    unsigned t;
+
+    /// Call `fn(lo, hi)` for each chunk [lo, hi) of the stripe, in order.
+    template <typename Fn>
+    void forEachChunk(const Fn& fn) const {
+        const std::size_t step = kStripeChunk * t;
+        for (std::size_t lo = kStripeChunk * w; lo < n; lo += step)
+            fn(lo, std::min(lo + kStripeChunk, n));
+    }
+};
+
+/// Span label for one worker's stripe.
+std::string stripeLabel(const char* engine, const Stripe& s) {
+    return std::string(engine) + ":stripe[" + std::to_string(s.w) + "/" +
+           std::to_string(s.t) + "]";
 }
 
-/// Run `work(lo, hi, tally)` over [0, n) split into `t` contiguous ranges.
-/// t == 1 runs inline on the caller. Worker exceptions are rethrown here.
+/// Run `work(stripe, tally)` for the `t` stripes of [0, n), one worker each;
+/// a list of fewer than `t` chunks gets one worker per chunk. A single
+/// stripe runs inline on the caller. Worker exceptions are rethrown here.
 /// `engine` names the grading engine in spans and worker lane labels.
 template <typename Fn>
-void runPartitioned(const char* engine, std::size_t n, unsigned t, const Fn& work) {
-    if (t <= 1 || n == 0) {
-        obs::ScopedSpan span(obs::enabled() ? partitionLabel(engine, 0, n) : std::string(),
+void runStriped(const char* engine, std::size_t n, unsigned t, const Fn& work) {
+    const std::size_t chunks = (n + kStripeChunk - 1) / kStripeChunk;
+    t = static_cast<unsigned>(std::clamp<std::size_t>(chunks, 1, t));
+    const auto runStripe = [&](unsigned w) {
+        const Stripe s{n, w, t};
+        obs::ScopedSpan span(obs::enabled() ? stripeLabel(engine, s) : std::string(),
                              "fault_sim");
         WorkerTally tally;
-        work(std::size_t{0}, n, tally);
+        work(s, tally);
         tally.flush();
+    };
+    if (t == 1) {
+        runStripe(0);
         return;
     }
     std::vector<std::thread> pool;
     std::vector<std::exception_ptr> errors(t);
     pool.reserve(t);
     for (unsigned w = 0; w < t; ++w) {
-        const std::size_t lo = n * w / t;
-        const std::size_t hi = n * (w + 1) / t;
-        pool.emplace_back([&work, &errors, lo, hi, w, engine] {
+        pool.emplace_back([&runStripe, &errors, w] {
             try {
                 if (obs::enabled())
                     obs::setThreadLabel("sim-worker-" + std::to_string(w));
-                obs::ScopedSpan span(
-                    obs::enabled() ? partitionLabel(engine, lo, hi) : std::string(),
-                    "fault_sim");
-                WorkerTally tally;
-                work(lo, hi, tally);
-                tally.flush();
+                runStripe(w);
             } catch (...) {
                 errors[w] = std::current_exception();
             }
@@ -170,14 +193,14 @@ unsigned effectiveWords(unsigned words, std::size_t n_patterns) {
         {static_cast<std::size_t>(words), need, static_cast<std::size_t>(kMaxPackedWords)}));
 }
 
-/// Load up to words*64 patterns into the packed simulator (pattern i in
-/// word i/64, slot i%64); missing slots repeat the last pattern so they
-/// never create spurious detections (masked off via the per-word valid
-/// masks). The transpose runs pattern-major — one pass over each Pattern's
-/// bit vectors, accumulating words per source — instead of revisiting all
-/// words*64 Pattern objects once per source net.
-void loadPatternsPacked(PatternSim& sim, std::span<const Pattern> pats, std::size_t base,
-                        std::size_t count) {
+/// Load up to words*64 patterns into the packed simulator (pattern i =
+/// `at(i)` in word i/64, slot i%64); missing slots repeat the last pattern
+/// so they never create spurious detections (masked off via the per-word
+/// valid masks). The transpose runs pattern-major — one pass over each
+/// Pattern's bit vectors, accumulating words per source — instead of
+/// revisiting all words*64 Pattern objects once per source net.
+template <class PatternAt>
+void loadPatternsPacked(PatternSim& sim, std::size_t count, const PatternAt& at) {
     const Netlist& nl = sim.netlist();
     const unsigned W = sim.words();
     const auto& pis = nl.pis();
@@ -188,8 +211,7 @@ void loadPatternsPacked(PatternSim& sim, std::span<const Pattern> pats, std::siz
     std::vector<std::uint64_t> tx(n_src * W, 0);
     for (unsigned w = 0; w < W; ++w) {
         for (unsigned slot = 0; slot < 64; ++slot) {
-            const std::size_t i = std::min<std::size_t>(64ULL * w + slot, count - 1);
-            const Pattern& p = pats[base + i];
+            const Pattern& p = at(std::min<std::size_t>(64ULL * w + slot, count - 1));
             const std::uint64_t bit = 1ULL << slot;
             for (std::size_t k = 0; k < n_pis; ++k) {
                 const Logic l = p.pis[k];
@@ -211,6 +233,20 @@ void loadPatternsPacked(PatternSim& sim, std::span<const Pattern> pats, std::siz
             sim.setNet(nl.gate(ffs[k]).output, w,
                        PV{tv[(n_pis + k) * W + w], tx[(n_pis + k) * W + w]});
     sim.propagate();
+}
+
+/// Pattern getter for the loaders: pattern i of a block starting at `base`.
+auto patternsFrom(std::span<const Pattern> pats, std::size_t base) {
+    return [pats, base](std::size_t i) -> const Pattern& { return pats[base + i]; };
+}
+
+/// Pattern getter for the loaders: V1 (`first`) or V2 of test base + i, read
+/// in place.
+auto halfOf(std::span<const TwoPattern> tests, std::size_t base, bool first) {
+    return [tests, base, first](std::size_t i) -> const Pattern& {
+        const TwoPattern& tp = tests[base + i];
+        return first ? tp.v1 : tp.v2;
+    };
 }
 
 /// One flag per net marking the observation points (POs and FF D nets) for
@@ -248,10 +284,8 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
     const unsigned W = effectiveWords(opts.words, pats.size());
     const unsigned threads = opts.resolveThreads(faults.size());
     if (W) {
-        runPartitioned(
-            "stuck_at", faults.size(), threads,
-            [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                if (lo == hi) return;
+        runStriped(
+            "stuck_at", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
                 PatternSim sim(tables, W);
                 const std::vector<std::uint8_t> is_obs = observationFlags(nl);
                 std::uint64_t diff[kMaxPackedWords];
@@ -264,24 +298,26 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
                     ++tally.batches;
                     const std::size_t count = std::min<std::size_t>(block, pats.size() - base);
                     for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    loadPatternsPacked(sim, pats, base, count);
-                    for (std::size_t fi = lo; fi < hi; ++fi) {
-                        if (det.test(fi)) {
-                            ++tally.dropped;
-                            continue;
+                    loadPatternsPacked(sim, count, patternsFrom(pats, base));
+                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t fi = lo; fi < hi; ++fi) {
+                            if (det.test(fi)) {
+                                ++tally.dropped;
+                                continue;
+                            }
+                            sim.injectFault(faults[fi]);
+                            sim.propagate();
+                            sim.faultDiffOnto(is_obs.data(), diff);
+                            sim.clearFault();
+                            ++tally.graded;
+                            std::uint64_t hit = 0;
+                            for (unsigned w = 0; w < W; ++w) hit |= diff[w] & validw[w];
+                            if (hit) {
+                                det.set(fi);
+                                ++tally.detected;
+                            }
                         }
-                        sim.injectFault(faults[fi]);
-                        sim.propagate();
-                        sim.faultDiffOnto(is_obs.data(), diff);
-                        sim.clearFault();
-                        ++tally.graded;
-                        std::uint64_t hit = 0;
-                        for (unsigned w = 0; w < W; ++w) hit |= diff[w] & validw[w];
-                        if (hit) {
-                            det.set(fi);
-                            ++tally.detected;
-                        }
-                    }
+                    });
                 }
             });
 
@@ -292,40 +328,39 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
             }
         return res;
     }
-    runPartitioned("stuck_at", faults.size(), threads,
-                   [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                       if (lo == hi) return;
-                       PatternSim sim(tables);
-                       std::vector<PV> good;
-                       std::vector<PV> faulty;
-                       for (std::size_t base = 0; base < pats.size(); base += 64) {
-                           obs::ScopedSpan batch_span(
-                               obs::enabled() ? "batch@" + std::to_string(base)
-                                              : std::string(),
-                               "fault_sim.batch");
-                           ++tally.batches;
-                           const std::size_t count = std::min<std::size_t>(64, pats.size() - base);
-                           const std::uint64_t valid = validMask(count);
-                           loadPatterns(sim, pats, base, count);
-                           observeInto(sim, good);
-                           for (std::size_t fi = lo; fi < hi; ++fi) {
-                               if (det.test(fi)) {
-                                   ++tally.dropped;
-                                   continue;
-                               }
-                               sim.injectFault(faults[fi]);
-                               sim.propagate();
-                               observeInto(sim, faulty);
-                               const std::uint64_t hit = diffMask(good, faulty) & valid;
-                               sim.clearFault();
-                               ++tally.graded;
-                               if (hit) {
-                                   det.set(fi);
-                                   ++tally.detected;
-                               }
-                           }
-                       }
-                   });
+    runStriped("stuck_at", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+        PatternSim sim(tables);
+        std::vector<PV> good;
+        std::vector<PV> faulty;
+        for (std::size_t base = 0; base < pats.size(); base += 64) {
+            obs::ScopedSpan batch_span(
+                obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                "fault_sim.batch");
+            ++tally.batches;
+            const std::size_t count = std::min<std::size_t>(64, pats.size() - base);
+            const std::uint64_t valid = validMask(count);
+            loadPatterns(sim, count, patternsFrom(pats, base));
+            observeInto(sim, good);
+            stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                for (std::size_t fi = lo; fi < hi; ++fi) {
+                    if (det.test(fi)) {
+                        ++tally.dropped;
+                        continue;
+                    }
+                    sim.injectFault(faults[fi]);
+                    sim.propagate();
+                    observeInto(sim, faulty);
+                    const std::uint64_t hit = diffMask(good, faulty) & valid;
+                    sim.clearFault();
+                    ++tally.graded;
+                    if (hit) {
+                        det.set(fi);
+                        ++tally.detected;
+                    }
+                }
+            });
+        }
+    });
 
     for (std::size_t fi = 0; fi < faults.size(); ++fi)
         if (det.test(fi)) {
@@ -337,21 +372,10 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
 
 namespace {
 
-/// Split two-pattern tests into the V1 / V2 pattern sequences the 64-wide
-/// loader consumes.
-void splitPairs(std::span<const TwoPattern> tests, std::vector<Pattern>& v1s,
-                std::vector<Pattern>& v2s) {
-    v1s.reserve(tests.size());
-    v2s.reserve(tests.size());
-    for (const TwoPattern& tp : tests) {
-        v1s.push_back(tp.v1);
-        v2s.push_back(tp.v2);
-    }
-}
-
-/// Batch detection mask for one transition fault: slots where V1 launches
-/// the transition (initial value established at the site) AND V2 propagates
-/// the equivalent stuck-at effect to an observation point.
+/// The reference grader's transition verdict for one batch of 64 tests:
+/// slots where V1 launches the transition (initial value established at the
+/// site) AND V2 propagates the equivalent stuck-at effect to an observation
+/// point, found by comparing full good and faulty observation snapshots.
 struct TransitionWorkerState {
     PatternSim sim_v1;
     PatternSim sim_v2;
@@ -361,10 +385,9 @@ struct TransitionWorkerState {
     explicit TransitionWorkerState(const std::shared_ptr<const SimTables>& tables)
         : sim_v1(tables), sim_v2(tables) {}
 
-    void loadBatch(std::span<const Pattern> v1s, std::span<const Pattern> v2s,
-                   std::size_t base, std::size_t count) {
-        loadPatterns(sim_v1, v1s, base, count);
-        loadPatterns(sim_v2, v2s, base, count);
+    void loadBatch(std::span<const TwoPattern> tests, std::size_t base, std::size_t count) {
+        loadPatterns(sim_v1, count, halfOf(tests, base, true));
+        loadPatterns(sim_v2, count, halfOf(tests, base, false));
         observeInto(sim_v2, good);
     }
 
@@ -385,44 +408,73 @@ struct TransitionWorkerState {
     }
 };
 
+/// One past the last fault of the group that starts at `fi` and is graded
+/// by one TransitionGrader::grade call: fault fi + 1 joins when it lies
+/// before `hi`, sits on the same net, and `open(fi + 1)` holds.
+template <class Open>
+std::size_t netGroupEnd(std::span<const TransitionFault> faults, std::size_t fi, std::size_t hi,
+                        const Open& open) {
+    const std::size_t next = fi + 1;
+    return next < hi && faults[next].net == faults[fi].net && open(next) ? next + 1 : next;
+}
+
 } // namespace
 
 TransitionGrader::TransitionGrader(std::shared_ptr<const SimTables> tables, unsigned words)
     : v1_(tables, words), v2_(tables, words), is_obs_(observationFlags(*tables->nl)) {}
 
-void TransitionGrader::loadBlock(std::span<const Pattern> v1s, std::span<const Pattern> v2s,
-                                 std::size_t base, std::size_t count) {
-    loadPatternsPacked(v1_, v1s, base, count);
-    loadPatternsPacked(v2_, v2s, base, count);
+void TransitionGrader::loadBlock(std::span<const TwoPattern> tests, std::size_t base,
+                                 std::size_t count) {
+    loadPatternsPacked(v1_, count, halfOf(tests, base, true));
+    loadPatternsPacked(v2_, count, halfOf(tests, base, false));
 }
 
-std::uint64_t TransitionGrader::launchMask(const TransitionFault& tf, const std::uint64_t* valid,
-                                           std::uint64_t* init_ok) const {
-    const unsigned W = v1_.words();
-    const std::uint64_t* v = v1_.valuePlane(tf.net);
-    const std::uint64_t* x = v1_.unknownPlane(tf.net);
-    const std::uint64_t want_one = tf.initialValue() == Logic::One ? ~0ULL : 0;
-    std::uint64_t any = 0;
-    for (unsigned w = 0; w < W; ++w) {
-        init_ok[w] = ~(v[w] ^ want_one) & ~x[w] & valid[w];
-        any |= init_ok[w];
-    }
-    return any;
-}
-
-std::uint64_t TransitionGrader::detectMask(const TransitionFault& tf,
-                                           const std::uint64_t* init_ok, std::uint64_t* hit) {
+unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
+                                 const std::uint64_t* valid, std::uint64_t* hit) {
+    if (group.empty() || group.size() > kMaxGroup)
+        throw std::invalid_argument("TransitionGrader::grade: a group holds 1 to " +
+                                    std::to_string(kMaxGroup) + " faults");
+    const NetId net = group.front().net;
     const unsigned W = v2_.words();
-    v2_.injectFault(tf.equivalentStuckAt());
-    v2_.propagate();
-    v2_.faultDiffOnto(is_obs_.data(), hit);
-    v2_.clearFault();
+    const std::uint64_t* v1 = v1_.valuePlane(net);
+    const std::uint64_t* x1 = v1_.unknownPlane(net);
+    const std::uint64_t* v2 = v2_.valuePlane(net);
+    const std::uint64_t* x2 = v2_.unknownPlane(net);
+    // A fault is graded in the slots where V1 sets its initial value and V2
+    // the opposite one: there the equivalent stuck-at fault is activated,
+    // and complementing the net builds exactly its faulty machine. The
+    // faults of one net complement disjoint slots (V2 is 1 for slow-to-rise,
+    // 0 for slow-to-fall), so one excursion over their union grades all.
+    std::uint64_t flip[kMaxPackedWords] = {};
     std::uint64_t any = 0;
-    for (unsigned w = 0; w < W; ++w) {
-        hit[w] &= init_ok[w];
-        any |= hit[w];
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        if (group[i].net != net)
+            throw std::invalid_argument("TransitionGrader::grade: faults on different nets");
+        const std::uint64_t want_one = group[i].initialValue() == Logic::One ? ~0ULL : 0;
+        std::uint64_t* ok = hit + i * W;
+        for (unsigned w = 0; w < W; ++w) {
+            ok[w] = ~(v1[w] ^ want_one) & (v2[w] ^ want_one) & ~x1[w] & ~x2[w] & valid[w];
+            flip[w] |= ok[w];
+            any |= ok[w];
+        }
     }
-    return any;
+    if (!any) return 0;
+    std::uint64_t diff[kMaxPackedWords];
+    v2_.injectComplement(net, flip);
+    v2_.propagate();
+    v2_.faultDiffOnto(is_obs_.data(), diff);
+    v2_.clearFault();
+    unsigned found = 0;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        std::uint64_t* h = hit + i * W;
+        std::uint64_t seen = 0;
+        for (unsigned w = 0; w < W; ++w) {
+            h[w] &= diff[w];
+            seen |= h[w];
+        }
+        if (seen) found |= 1U << i;
+    }
+    return found;
 }
 
 FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPattern> tests,
@@ -436,23 +488,17 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
     // One table set for every worker's simulators. Building it also forces
     // the Netlist's lazily built fanout/topo caches, so workers only read.
     const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
-    std::vector<Pattern> v1s;
-    std::vector<Pattern> v2s;
-    splitPairs(tests, v1s, v2s);
-
     DetectedBitmap det(faults.size());
     const unsigned W = effectiveWords(opts.words, tests.size());
     const unsigned threads = opts.resolveThreads(faults.size());
     if (W) {
-        runPartitioned(
-            "transition", faults.size(), threads,
-            [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                if (lo == hi) return;
-                TransitionGrader ws(tables, W);
+        runStriped(
+            "transition", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+                TransitionGrader grader(tables, W);
                 std::uint64_t validw[kMaxPackedWords];
-                std::uint64_t init_ok[kMaxPackedWords];
-                std::uint64_t hit[kMaxPackedWords];
+                std::uint64_t hit[TransitionGrader::kMaxGroup * kMaxPackedWords];
                 const std::size_t block = 64ULL * W;
+                const auto open = [&](std::size_t fi) { return !det.test(fi); };
                 for (std::size_t base = 0; base < tests.size(); base += block) {
                     obs::ScopedSpan batch_span(
                         obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
@@ -460,19 +506,26 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
                     ++tally.batches;
                     const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
                     for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    ws.loadBlock(v1s, v2s, base, count);
-                    for (std::size_t fi = lo; fi < hi; ++fi) {
-                        if (det.test(fi)) {
-                            ++tally.dropped;
-                            continue;
+                    grader.loadBlock(tests, base, count);
+                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t fi = lo; fi < hi;) {
+                            if (!open(fi)) {
+                                ++tally.dropped;
+                                ++fi;
+                                continue;
+                            }
+                            const std::size_t end = netGroupEnd(faults, fi, hi, open);
+                            const unsigned found =
+                                grader.grade(faults.subspan(fi, end - fi), validw, hit);
+                            tally.graded += end - fi;
+                            for (std::size_t k = 0; k < end - fi; ++k)
+                                if ((found >> k) & 1) {
+                                    det.set(fi + k);
+                                    ++tally.detected;
+                                }
+                            fi = end;
                         }
-                        if (ws.launchMask(faults[fi], validw, init_ok) == 0) continue;
-                        ++tally.graded;
-                        if (ws.detectMask(faults[fi], init_ok, hit)) {
-                            det.set(fi);
-                            ++tally.detected;
-                        }
-                    }
+                    });
                 }
             });
 
@@ -483,19 +536,18 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
             }
         return res;
     }
-    runPartitioned("transition", faults.size(), threads,
-                   [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                       if (lo == hi) return;
-                       TransitionWorkerState ws(tables);
-                       for (std::size_t base = 0; base < tests.size(); base += 64) {
-                           obs::ScopedSpan batch_span(
-                               obs::enabled() ? "batch@" + std::to_string(base)
-                                              : std::string(),
-                               "fault_sim.batch");
-                           ++tally.batches;
-                           const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-                           const std::uint64_t valid = validMask(count);
-                           ws.loadBatch(v1s, v2s, base, count);
+    runStriped("transition", faults.size(), threads,
+               [&](const Stripe& stripe, WorkerTally& tally) {
+                   TransitionWorkerState ws(tables);
+                   for (std::size_t base = 0; base < tests.size(); base += 64) {
+                       obs::ScopedSpan batch_span(
+                           obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                           "fault_sim.batch");
+                       ++tally.batches;
+                       const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
+                       const std::uint64_t valid = validMask(count);
+                       ws.loadBatch(tests, base, count);
+                       stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
                            for (std::size_t fi = lo; fi < hi; ++fi) {
                                if (det.test(fi)) {
                                    ++tally.dropped;
@@ -509,8 +561,9 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
                                    ++tally.detected;
                                }
                            }
-                       }
-                   });
+                       });
+                   }
+               });
 
     for (std::size_t fi = 0; fi < faults.size(); ++fi)
         if (det.test(fi)) {
@@ -530,24 +583,20 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
     // One table set for every worker's simulators. Building it also forces
     // the Netlist's lazily built fanout/topo caches, so workers only read.
     const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
-    std::vector<Pattern> v1s;
-    std::vector<Pattern> v2s;
-    splitPairs(tests, v1s, v2s);
 
     // No fault dropping (the profile needs every test), and each worker
-    // writes a disjoint slice of `counts`, so no synchronization is needed.
+    // writes the disjoint chunks of its stripe in `counts`, so no
+    // synchronization is needed.
     const unsigned W = effectiveWords(opts.words, tests.size());
     const unsigned threads = opts.resolveThreads(faults.size());
     if (W) {
-        runPartitioned(
-            "ndetect", faults.size(), threads,
-            [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                if (lo == hi) return;
-                TransitionGrader ws(tables, W);
+        runStriped(
+            "ndetect", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+                TransitionGrader grader(tables, W);
                 std::uint64_t validw[kMaxPackedWords];
-                std::uint64_t init_ok[kMaxPackedWords];
-                std::uint64_t hit[kMaxPackedWords];
+                std::uint64_t hit[TransitionGrader::kMaxGroup * kMaxPackedWords];
                 const std::size_t block = 64ULL * W;
+                const auto open = [](std::size_t) { return true; };
                 for (std::size_t base = 0; base < tests.size(); base += block) {
                     obs::ScopedSpan batch_span(
                         obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
@@ -555,40 +604,45 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
                     ++tally.batches;
                     const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
                     for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    ws.loadBlock(v1s, v2s, base, count);
-                    for (std::size_t fi = lo; fi < hi; ++fi) {
-                        if (ws.launchMask(faults[fi], validw, init_ok) == 0) continue;
-                        ++tally.graded;
-                        ws.detectMask(faults[fi], init_ok, hit);
-                        for (unsigned w = 0; w < W; ++w)
-                            counts[fi] += static_cast<std::size_t>(std::popcount(hit[w]));
-                    }
+                    grader.loadBlock(tests, base, count);
+                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t fi = lo; fi < hi;) {
+                            const std::size_t end = netGroupEnd(faults, fi, hi, open);
+                            const std::size_t n = end - fi;
+                            if (grader.grade(faults.subspan(fi, n), validw, hit))
+                                for (std::size_t k = 0; k < n; ++k)
+                                    for (unsigned w = 0; w < W; ++w)
+                                        counts[fi + k] += static_cast<std::size_t>(
+                                            std::popcount(hit[k * W + w]));
+                            tally.graded += n;
+                            fi = end;
+                        }
+                    });
                 }
             });
         return counts;
     }
-    runPartitioned("ndetect", faults.size(), threads,
-                   [&](std::size_t lo, std::size_t hi, WorkerTally& tally) {
-                       if (lo == hi) return;
-                       TransitionWorkerState ws(tables);
-                       for (std::size_t base = 0; base < tests.size(); base += 64) {
-                           obs::ScopedSpan batch_span(
-                               obs::enabled() ? "batch@" + std::to_string(base)
-                                              : std::string(),
-                               "fault_sim.batch");
-                           ++tally.batches;
-                           const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-                           const std::uint64_t valid = validMask(count);
-                           ws.loadBatch(v1s, v2s, base, count);
-                           for (std::size_t fi = lo; fi < hi; ++fi) {
-                               const std::uint64_t init_ok = ws.launchMask(faults[fi]);
-                               if ((init_ok & valid) == 0) continue;
-                               ++tally.graded;
-                               counts[fi] += static_cast<std::size_t>(
-                                   std::popcount(ws.detectMask(faults[fi], init_ok, valid)));
-                           }
-                       }
-                   });
+    runStriped("ndetect", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+        TransitionWorkerState ws(tables);
+        for (std::size_t base = 0; base < tests.size(); base += 64) {
+            obs::ScopedSpan batch_span(
+                obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                "fault_sim.batch");
+            ++tally.batches;
+            const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
+            const std::uint64_t valid = validMask(count);
+            ws.loadBatch(tests, base, count);
+            stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                for (std::size_t fi = lo; fi < hi; ++fi) {
+                    const std::uint64_t init_ok = ws.launchMask(faults[fi]);
+                    if ((init_ok & valid) == 0) continue;
+                    ++tally.graded;
+                    counts[fi] += static_cast<std::size_t>(
+                        std::popcount(ws.detectMask(faults[fi], init_ok, valid)));
+                }
+            });
+        }
+    });
     return counts;
 }
 

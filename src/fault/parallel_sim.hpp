@@ -1,20 +1,27 @@
 // Multi-threaded fault-simulation engine.
 //
-// The fault list is split into contiguous ranges, one per worker; each
-// worker owns a private simulator replica (two for two-pattern tests; all
-// replicas of one call share a read-only SimTables) and grades only its
-// range, block-major: for every pattern block the worker
-// loads the block, snapshots the good machine, then injects each
-// still-undetected fault of its range, propagates the faulty cone
-// event-driven, compares observation points, and rolls the simulator back
-// through the recorded event frontier (clearFault).
+// The fault list is dealt out in stripes: it is cut into fixed chunks of 64
+// consecutive faults, and worker w of T takes chunks w, w + T, w + 2T, ...
+// (faults with large cones cluster in the list, so round-robin chunks keep
+// the workers evenly loaded where contiguous ranges did not). Each worker
+// owns a private simulator replica (two for two-pattern tests; all replicas
+// of one call share a read-only SimTables) and grades only its stripe,
+// block-major: for every pattern block the worker loads the block, then
+// grades each still-undetected fault of its stripe with one fault
+// excursion — inject, propagate the faulty cone event-driven, compare the
+// observation points, and roll the simulator back through the recorded
+// event frontier (clearFault).
 //
 // Every path runs the one event-driven simulator (sim/pattern_sim.hpp).
 // By default a block is FaultSimOptions::words x 64 patterns, evaluated
 // plane-wise by the runtime-dispatched SIMD kernel (cell/logic_block.hpp),
 // and a fault's detections are read from the simulator's undo log
-// (faultDiffOnto). words = 0 selects the reference grader: blocks of one
-// word, and detection by comparing full good and faulty observation
+// (faultDiffOnto). Transition faults on one net (a slow-to-rise /
+// slow-to-fall pair) share one excursion there: TransitionGrader
+// complements the net in the slots where either fault is activated, which
+// builds each fault's stuck-at faulty machine in its own slots. words = 0
+// selects the reference grader: blocks of one word, stuck-at injection per
+// fault, and detection by comparing full good and faulty observation
 // snapshots, with no undo-log diff. Both produce bit-identical detected
 // masks (the verdict is a pure function of the pattern set). The packed
 // width is clamped per run to ceil(n_patterns / 64), so small pattern sets
@@ -84,55 +91,59 @@ struct FaultSimOptions {
     }
 };
 
-/// Stuck-at grading with fault dropping, partitioned across workers.
+/// Stuck-at grading with fault dropping, striped across workers.
 [[nodiscard]] FaultSimResult runStuckAtFaultSim(const Netlist& nl,
                                                 std::span<const Pattern> pats,
                                                 std::span<const FaultSite> faults,
                                                 const FaultSimOptions& opts);
 
-/// Transition grading with fault dropping, partitioned across workers.
+/// Transition grading with fault dropping, striped across workers.
 [[nodiscard]] FaultSimResult runTransitionFaultSim(const Netlist& nl,
                                                    std::span<const TwoPattern> tests,
                                                    std::span<const TransitionFault> faults,
                                                    const FaultSimOptions& opts);
 
 /// N-detect profile (no fault dropping): per-test detections are counted
-/// 64 tests at a time via popcount of the batch hit mask, partitioned
-/// across workers (each writes a disjoint slice of the counts).
+/// 64 tests at a time via popcount of the batch hit mask, striped across
+/// workers (each writes the disjoint chunks of its stripe in the counts).
 [[nodiscard]] std::vector<std::size_t> countTransitionDetections(
     const Netlist& nl, std::span<const TwoPattern> tests,
     std::span<const TransitionFault> faults, const FaultSimOptions& opts);
 
 /// The packed engine's transition grading of one block of tests, kept as an
 /// object: a V1 machine gives the slots that launch each fault's initial
-/// value, a V2 machine detects the equivalent stuck-at fault there. The
-/// packed workers of runTransitionFaultSim and countTransitionDetections
-/// each run one; the transition ATPG top-off keeps one at a single word and
-/// reloads it per candidate test. A reload only re-simulates what the new
-/// sources change, and every mask is a pure function of the loaded block.
+/// value, a V2 machine the slots that activate it and, after one complement
+/// excursion per net, the slots that observe it. The packed workers of
+/// runTransitionFaultSim and countTransitionDetections each run one; the
+/// transition ATPG top-off keeps one at a single word and reloads it per
+/// candidate test. A reload only re-simulates what the new sources change,
+/// and every mask is a pure function of the loaded block.
 class TransitionGrader {
 public:
+    /// Most faults one grade() call takes: a net's two polarities.
+    static constexpr std::size_t kMaxGroup = 2;
+
     /// Throws like PatternSim for a bad `words`.
     TransitionGrader(std::shared_ptr<const SimTables> tables, unsigned words);
 
     [[nodiscard]] unsigned words() const noexcept { return v1_.words(); }
 
-    /// Load tests [base, base + count) of the V1 / V2 sequences: test i in
-    /// word i / 64, slot i % 64. Slots past `count` repeat the last test, so
-    /// they never detect anything the block does not.
-    void loadBlock(std::span<const Pattern> v1s, std::span<const Pattern> v2s, std::size_t base,
-                   std::size_t count);
+    /// Load tests [base, base + count): test i in word i / 64, slot i % 64.
+    /// Slots past `count` repeat the last test, so they never detect
+    /// anything the block does not.
+    void loadBlock(std::span<const TwoPattern> tests, std::size_t base, std::size_t count);
 
-    /// Fill `init_ok` (words() entries) with the slots of `valid` whose V1
-    /// sets the fault site to its initial value; returns their OR over words
-    /// (zero: no slot of the block can detect `tf`).
-    std::uint64_t launchMask(const TransitionFault& tf, const std::uint64_t* valid,
-                             std::uint64_t* init_ok) const;
-
-    /// Fill `hit` with the slots of `init_ok` whose V2 observes the
-    /// equivalent stuck-at fault; returns their OR over words.
-    std::uint64_t detectMask(const TransitionFault& tf, const std::uint64_t* init_ok,
-                             std::uint64_t* hit);
+    /// Grade `group` — 1 to kMaxGroup faults on one net, in any order,
+    /// duplicates allowed — in the slots of `valid` (words() masks). Fills
+    /// hit[i * words() + w] with the slots of word w that detect group[i]:
+    /// V1 sets its initial value, V2 the final one, and the V2 fault effect
+    /// reaches an observation point. Returns a bit per fault, bit i set iff
+    /// group[i] has a detecting slot. One propagation covers the whole
+    /// group; a group no slot activates propagates nothing. Throws
+    /// std::invalid_argument for an empty or oversized group or faults on
+    /// different nets.
+    unsigned grade(std::span<const TransitionFault> group, const std::uint64_t* valid,
+                   std::uint64_t* hit);
 
 private:
     PatternSim v1_;

@@ -215,6 +215,23 @@ void PatternSim::injectFault(const FaultSite& f, std::uint64_t slots) {
     }
 }
 
+void PatternSim::injectComplement(NetId net, const std::uint64_t* slots) {
+    if (!quiescent())
+        throw std::logic_error("PatternSim::injectComplement: propagate() before injecting");
+    const unsigned W = words_;
+    const std::uint64_t* cur = &planes_.at(planeIndex(net));
+    std::uint64_t flipped[2 * kMaxPackedWords];
+    for (unsigned w = 0; w < W; ++w) {
+        flipped[w] = cur[w] ^ (slots[w] & ~cur[W + w]);
+        flipped[W + w] = cur[W + w];
+    }
+    fault_active_ = true;
+    stuck_net_ = kInvalidId;
+    stuck_gate_ = kInvalidId;
+    // applyValue records the good planes in the undo log before writing.
+    applyValue(net, flipped);
+}
+
 void PatternSim::faultDiffOnto(const std::uint8_t* is_obs, std::uint64_t* m) const {
     const unsigned W = words_;
     for (unsigned w = 0; w < W; ++w) m[w] = 0;

@@ -128,29 +128,45 @@ public:
     void setHeldAll(const std::vector<GateId>& gates, bool held);
     [[nodiscard]] bool isHeld(GateId gate) const { return (scheduled_.at(gate) & kHeld) != 0; }
 
-    // ---- single-fault injection (PPSFP) ---------------------------------
+    // ---- fault excursions (PPSFP) ----------------------------------------
+    // A fault excursion changes the simulator away from the good machine
+    // and is rolled back by clearFault. Two ways start one: injectFault
+    // forces a stuck-at fault (PODEM, stuck-at grading, BIST), and
+    // injectComplement flips a net's known value in chosen slots (transition
+    // grading: in a slot where a stuck-at fault on the net is activated, the
+    // two produce the same faulty machine, so one complement grades a net's
+    // slow-to-rise and slow-to-fall faults in one propagation). While an
+    // excursion is active every net change is recorded in an undo log (at
+    // most one entry per net) that faultDiffOnto and clearFault read.
+
     /// Activate a stuck-at fault for subsequent propagation. The stuck value
     /// is forced only in the pattern slots set in `slots`, in every word
     /// (all slots by default); the other slots keep simulating the
     /// fault-free machine, so one simulator can carry a good and a faulty
     /// machine side by side (PODEM puts them in slots 0 and 1). Throws
     /// std::invalid_argument if a pin fault's pin is not an input of its
-    /// receiving gate. While a fault is active every net change is recorded
-    /// in an undo log (at most one entry per net), so clearFault can restore
-    /// the pre-fault state without re-propagating. Inject from a quiescent
-    /// (fully propagated) state.
+    /// receiving gate. Inject from a quiescent (fully propagated) state.
     void injectFault(const FaultSite& f, std::uint64_t slots = ~0ULL);
 
-    /// Deactivate the fault and roll the simulator back to the exact state
-    /// it had when injectFault was called, by restoring the recorded event
-    /// frontier — only the nets the faulty excursion actually touched are
-    /// written; nothing is re-evaluated. setNet calls made while the fault
-    /// was active are rolled back too; sessions that keep a fault active
-    /// permanently (BIST, PODEM) discard the log via reset() instead.
+    /// Start an excursion, with no fault active, that complements `net`'s
+    /// known value in the slots set in `slots` (words() masks, one per
+    /// word); X slots stay X and unmasked slots keep their value. Nothing
+    /// forces the net afterwards: its driver cannot re-evaluate during the
+    /// excursion, because the combinational cone of the net is acyclic and
+    /// stops at flip-flops. Throws std::logic_error unless the simulator is
+    /// quiescent, like setHeld.
+    void injectComplement(NetId net, const std::uint64_t* slots);
+
+    /// End the excursion and roll the simulator back to the exact state it
+    /// had when it began (injectFault / injectComplement), by restoring the
+    /// recorded event frontier — only the nets the faulty excursion actually
+    /// touched are written; nothing is re-evaluated. setNet calls made
+    /// during the excursion are rolled back too; sessions that keep a fault
+    /// active permanently (BIST, PODEM) discard the log via reset() instead.
     void clearFault();
 
     /// Per-word detection diff against the pre-fault state: for every net
-    /// touched since injectFault whose `is_obs[net]` flag is set, OR
+    /// touched since the excursion began whose `is_obs[net]` flag is set, OR
     /// `(good_v ^ cur_v) & ~good_x & ~cur_x` into m[0..words()). The undo
     /// log already holds each touched net's fault-free planes (gradings
     /// start from a quiescent good state), and an untouched observation

@@ -1,7 +1,7 @@
 // Unified parallelism policy.
 //
 // Every engine in the repository that fans work out over a thread pool
-// (fault-simulation partitioning, the flow stage scheduler, the bench
+// (fault-simulation stripes, the flow stage scheduler, the bench
 // thread sweeps) used to carry its own "threads" knob and its own
 // resolution rules. ExecPolicy is the one shared vocabulary: a requested
 // worker count (0 = one per hardware thread) plus a shrink floor that

@@ -362,9 +362,11 @@ bool podemVerdictMismatch(const Netlist& nl, const FuzzOptions& opts, std::size_
     return false;
 }
 
-/// Inject some X bits so Kleene propagation is fuzzed too (the fault-sim
-/// checks keep the fully-specified list; X-detection semantics are theirs
-/// to define, value agreement is not).
+/// Inject some X bits so Kleene propagation is fuzzed too. The stuck-at
+/// bitmap keeps the fully-specified list; the transition checks take these
+/// pairs, because the packed grader leaves X slots of a fault site
+/// unflipped where the reference grader's stuck-at injection sets them, and
+/// the two must still agree on every detection.
 std::vector<TwoPattern> withXBits(std::vector<TwoPattern> pairs, std::uint64_t seed) {
     Rng rng(seed);
     for (TwoPattern& tp : pairs)
@@ -463,12 +465,12 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
              [&opts](const Netlist& n, const std::vector<TwoPattern>& ps) {
                  return transitionBitmapMismatch(n, ps, opts, nullptr);
              },
-             &engine_pairs},
+             &x_pairs},
             {"n-detect",
              [&opts](const Netlist& n, const std::vector<TwoPattern>& ps) {
                  return nDetectMismatch(n, ps, opts, nullptr);
              },
-             &engine_pairs},
+             &x_pairs},
             {"dft-equivalence",
              [&eq_opts, &variants](const Netlist& n, const std::vector<TwoPattern>& ps) {
                  return !checkDftEquivalence(n, ps, eq_opts, variants).ok();

@@ -12,9 +12,12 @@
 //     full observation-snapshot compare) vs the engine at every requested
 //     thread count x word width (threads forced into a real pool via
 //     min_items_per_worker = 1), mask bit for mask bit, with stuck-at sites
-//     on PI and PO nets always present in the fault list;
+//     on PI and PO nets always present in the fault list; the transition
+//     bitmap runs on the X-laden pairs of check 1, where the packed
+//     grader's complement excursions and the reference's stuck-at
+//     injections must still agree;
 //  4. n-detect counts — countTransitionDetections across thread counts and
-//     word widths;
+//     word widths, on the same X-laden pairs;
 //  5. DFT equivalence — the Fig. 5b protocol under enhanced scan, MUX-hold,
 //     and FLH vs direct evaluation (verify/equivalence.hpp), on random and
 //     ATPG-generated pairs;

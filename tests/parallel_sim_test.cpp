@@ -3,6 +3,9 @@
 #include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
 
+#include "obs/telemetry.hpp"
+#include "util/rng.hpp"
+
 #include <gtest/gtest.h>
 
 namespace flh {
@@ -20,6 +23,21 @@ std::vector<TwoPattern> arbitraryPairs(const Netlist& nl, std::size_t count,
     std::vector<TwoPattern> tests;
     tests.reserve(count);
     for (std::size_t i = 0; i < count; ++i) tests.push_back(TwoPattern{v1s[i], v2s[i]});
+    return tests;
+}
+
+/// `arbitraryPairs` with about 12% of the source bits set to X, as the
+/// differential fuzzer does.
+std::vector<TwoPattern> xLadenPairs(const Netlist& nl, std::size_t count, std::uint64_t seed) {
+    std::vector<TwoPattern> tests = arbitraryPairs(nl, count, seed);
+    Rng rng(seed ^ 0x5E);
+    for (TwoPattern& tp : tests)
+        for (Pattern* p : {&tp.v1, &tp.v2}) {
+            for (Logic& b : p->pis)
+                if (rng.chance(0.12)) b = Logic::X;
+            for (Logic& b : p->state)
+                if (rng.chance(0.12)) b = Logic::X;
+        }
     return tests;
 }
 
@@ -121,11 +139,15 @@ TEST(ParallelFaultSim, NDetectCountsMatchBruteForce) {
     const auto tests = arbitraryPairs(nl, 70, 29); // spans two 64-wide batches
     const auto faults = allTransitionFaults(nl);
 
-    // Brute force: grade each test alone (valid mask = 1 slot) and sum.
+    // Brute force: grade each test alone (valid mask = 1 slot) with the
+    // reference grader, which shares no detection code with the packed
+    // n-detect path, and sum.
+    FaultSimOptions reference;
+    reference.words = 0;
     std::vector<std::size_t> want(faults.size(), 0);
     for (const TwoPattern& tp : tests) {
         const TwoPattern one[1] = {tp};
-        const FaultSimResult r = runTransitionFaultSim(nl, one, faults);
+        const FaultSimResult r = runTransitionFaultSim(nl, one, faults, reference);
         for (std::size_t f = 0; f < faults.size(); ++f)
             if (r.detected_mask[f]) ++want[f];
     }
@@ -214,6 +236,114 @@ TEST(ParallelFaultSim, DeterministicAcrossThreadsAndWordWidths) {
                 << "threads " << threads << " words " << words;
         }
     }
+}
+
+TEST(ParallelFaultSim, TransitionGradingMatchesReferenceOnXPairs) {
+    // The packed grader grades a net's faults with one complement excursion
+    // that leaves X slots alone; the reference grader injects each fault's
+    // stuck-at value, X slots included. On X-laden pairs they must agree on
+    // every mask and count, whatever the order of the fault list — shuffled
+    // lists break up a net's pair, and one-polarity lists and duplicates
+    // give groups of one or of the same fault twice.
+    Netlist nl = makeCircuit("s344", lib());
+    insertScan(nl);
+    const auto tests = xLadenPairs(nl, 150, 61); // three words: a ragged last block
+    const auto natural = allTransitionFaults(nl);
+    std::vector<TransitionFault> reversed(natural.rbegin(), natural.rend());
+    std::vector<TransitionFault> shuffled = natural;
+    Rng(62).shuffle(shuffled);
+    std::vector<TransitionFault> one_polarity;
+    for (std::size_t i = 0; i < natural.size(); ++i)
+        if ((natural[i].net + (i & 1)) % 2 == 0) one_polarity.push_back(natural[i]);
+    std::vector<TransitionFault> duplicates;
+    for (std::size_t i = 0; i < natural.size(); ++i) {
+        duplicates.push_back(natural[i]);
+        if (i % 3 == 0) duplicates.push_back(natural[i]);
+    }
+    const std::pair<const char*, const std::vector<TransitionFault>*> lists[] = {
+        {"natural", &natural},           {"reversed", &reversed},
+        {"shuffled", &shuffled},         {"one-polarity", &one_polarity},
+        {"duplicates", &duplicates},
+    };
+
+    FaultSimOptions reference;
+    reference.words = 0;
+    for (const auto& [name, faults] : lists) {
+        const FaultSimResult want = runTransitionFaultSim(nl, tests, *faults, reference);
+        const auto want_counts = countTransitionDetections(nl, tests, *faults, reference);
+        ASSERT_GT(want.detected, 0u) << name;
+        for (const unsigned threads : {1u, 3u, 4u}) {
+            for (const unsigned words : {1u, 4u, 8u}) {
+                FaultSimOptions opts = threaded(threads);
+                opts.words = words;
+                const FaultSimResult got = runTransitionFaultSim(nl, tests, *faults, opts);
+                EXPECT_EQ(got.detected, want.detected)
+                    << name << " threads " << threads << " words " << words;
+                ASSERT_EQ(got.detected_mask, want.detected_mask)
+                    << name << " threads " << threads << " words " << words;
+                ASSERT_EQ(countTransitionDetections(nl, tests, *faults, opts), want_counts)
+                    << name << " threads " << threads << " words " << words;
+            }
+        }
+    }
+}
+
+/// Grades the first `n_faults` transition faults of s1423 at `threads`
+/// threads against the serial reference grader, stuck-at included, and
+/// returns how many stripes the packed transition run used.
+std::uint64_t expectStripedRunsMatchReference(std::size_t n_faults, unsigned threads) {
+    const Netlist nl = makeCircuit("s1423", lib());
+    const auto tests = xLadenPairs(nl, 70, 71);
+    const auto all_tf = allTransitionFaults(nl);
+    const std::vector<TransitionFault> tfaults(all_tf.begin(), all_tf.begin() + n_faults);
+    const auto pats = randomPatterns(nl, 70, 72);
+    const auto all_sa = collapsedStuckAtFaults(nl);
+    const std::vector<FaultSite> sfaults(all_sa.begin(), all_sa.begin() + n_faults);
+
+    FaultSimOptions reference;
+    reference.words = 0;
+    const FaultSimResult want_tf = runTransitionFaultSim(nl, tests, tfaults, reference);
+    const auto want_counts = countTransitionDetections(nl, tests, tfaults, reference);
+    const FaultSimResult want_sa = runStuckAtFaultSim(nl, pats, sfaults, reference);
+    // The last fault closes the last chunk, the one a stripe bound could cut.
+    EXPECT_GT(want_counts.back(), 0u) << "the last transition fault is never detected";
+    EXPECT_TRUE(want_sa.detected_mask.back()) << "the last stuck-at fault is never detected";
+
+    obs::Counter& stripes = obs::counter("fault_sim.stripes");
+    const bool was_enabled = obs::enabled();
+    std::uint64_t used = 0;
+    for (const unsigned words : {0u, 1u, 4u}) {
+        FaultSimOptions opts = threaded(threads);
+        opts.words = words;
+        obs::setEnabled(true);
+        const std::uint64_t before = stripes.value();
+        const FaultSimResult got_tf = runTransitionFaultSim(nl, tests, tfaults, opts);
+        used = stripes.value() - before;
+        obs::setEnabled(was_enabled);
+        EXPECT_EQ(got_tf.detected_mask, want_tf.detected_mask) << "words " << words;
+        EXPECT_EQ(countTransitionDetections(nl, tests, tfaults, opts), want_counts)
+            << "words " << words;
+        EXPECT_EQ(runStuckAtFaultSim(nl, pats, sfaults, opts).detected_mask,
+                  want_sa.detected_mask)
+            << "words " << words;
+    }
+    return used;
+}
+
+TEST(ParallelFaultSim, StripeFewerFaultsThanOneChunk) {
+    // 11 faults fill part of one 64-fault chunk: one stripe, run inline.
+    EXPECT_EQ(expectStripedRunsMatchReference(11, 4), 1u);
+}
+
+TEST(ParallelFaultSim, StripeRaggedLastChunk) {
+    // 3 full chunks and a 7-fault one over 3 workers: worker 0 takes chunks
+    // 0 and 3, the short one included.
+    EXPECT_EQ(expectStripedRunsMatchReference(3 * 64 + 7, 3), 3u);
+}
+
+TEST(ParallelFaultSim, StripeMoreThreadsThanChunks) {
+    // 2 chunks for 8 requested threads: one worker per chunk, none idle.
+    EXPECT_EQ(expectStripedRunsMatchReference(64 + 31, 8), 2u);
 }
 
 TEST(ParallelFaultSim, StressManyConcurrentRuns) {

@@ -69,6 +69,11 @@ std::vector<PV> snapshot(const PatternSim& sim) {
     return out;
 }
 
+/// True if `a` and `b` agree (both planes) in the slots of `m`.
+bool sameIn(PV a, PV b, std::uint64_t m) {
+    return ((a.v ^ b.v) & m) == 0 && ((a.x ^ b.x) & m) == 0;
+}
+
 /// A simulator at `words` words fed `src`, fully propagated.
 PatternSim settled(const Netlist& nl, const Sources& src) {
     PatternSim sim(nl, static_cast<unsigned>(src.size()));
@@ -283,9 +288,6 @@ TEST(PatternSim, SlotMaskedFaultLeavesOtherSlotsGood) {
     const FaultSite pin_fault{nl.gate(last).inputs[0], last, 0, false};
 
     const std::uint64_t mask = 0x00F0'0000'0000'0F02ULL;
-    const auto sameIn = [](PV a, PV b, std::uint64_t m) {
-        return ((a.v ^ b.v) & m) == 0 && ((a.x ^ b.x) & m) == 0;
-    };
     for (const unsigned W : kWidths) {
         Rng rng(606);
         const Sources src = randomSources(nl, rng, W);
@@ -346,6 +348,147 @@ TEST(PatternSim, ClearFaultRestoresExactPreInjectState) {
         EXPECT_EQ(sim.propagate(), 0u);
         ASSERT_EQ(snapshot(sim), before);
     }
+}
+
+// ---- complement excursions (transition grading) ---------------------------
+
+/// One random slot mask per word.
+std::vector<std::uint64_t> randomSlots(Rng& rng, unsigned W) {
+    std::vector<std::uint64_t> slots(W);
+    for (std::uint64_t& m : slots) m = rng.next();
+    return slots;
+}
+
+TEST(PatternSim, ComplementFlipsOnlyKnownMaskedSlots) {
+    // Complementing a PI in some slots must equal re-simulating with that
+    // PI's known masked slots flipped at the source: X slots keep both
+    // planes, and every net keeps its value in the unmasked slots.
+    const Netlist nl = makeS27(lib());
+    const NetId pi = nl.pis()[0];
+    for (const unsigned W : kWidths) {
+        Rng rng(707);
+        const Sources src = randomSources(nl, rng, W, /*with_x=*/true);
+        const std::vector<std::uint64_t> slots = randomSlots(rng, W);
+        const PatternSim good = settled(nl, src);
+        PatternSim sim = settled(nl, src);
+        sim.injectComplement(pi, slots.data());
+        sim.propagate();
+
+        Sources flipped_src = src;
+        for (unsigned w = 0; w < W; ++w) {
+            PV& p = flipped_src[w][0]; // PI 0 comes first
+            p.v ^= slots[w] & ~p.x;
+        }
+        EXPECT_EQ(snapshot(sim), snapshot(settled(nl, flipped_src))) << "W " << W;
+
+        bool masked_x = false;
+        for (unsigned w = 0; w < W; ++w) {
+            const PV before = good.get(pi, w);
+            const PV after = sim.get(pi, w);
+            EXPECT_EQ(after.x, before.x) << "X slots must stay X, W " << W;
+            EXPECT_EQ(after.v & before.x, before.v & before.x) << "W " << W;
+            EXPECT_EQ((after.v ^ before.v) & ~before.x, slots[w] & ~before.x) << "W " << W;
+            masked_x = masked_x || (slots[w] & before.x) != 0;
+            for (NetId n = 0; n < nl.netCount(); ++n)
+                EXPECT_TRUE(sameIn(sim.get(n, w), good.get(n, w), ~slots[w]))
+                    << nl.net(n).name << " W " << W << " word " << w;
+        }
+        EXPECT_TRUE(masked_x) << "no X slot was masked: the X case went untested";
+    }
+}
+
+TEST(PatternSim, ComplementMatchesStuckAtInActivatedSlots) {
+    // On an internal net, complementing the slots where the good value is 1
+    // (0) builds the stuck-at-0 (stuck-at-1) machine there. Where the net is
+    // X the complement leaves the good machine, while the stuck value may
+    // make downstream nets known — so the two agree on every net in the
+    // net's known slots, and the complement equals the good machine in its
+    // X slots.
+    const Netlist nl = makeS27(lib());
+    for (const unsigned W : kWidths) {
+        Rng rng(808);
+        const Sources src = randomSources(nl, rng, W, /*with_x=*/true);
+        const PatternSim good = settled(nl, src);
+        for (const GateId g : {nl.topoOrder()[0], nl.topoOrder()[3], nl.topoOrder()[6]}) {
+            const NetId net = nl.gate(g).output;
+            for (const bool stuck_one : {false, true}) {
+                std::vector<std::uint64_t> active(W);
+                for (unsigned w = 0; w < W; ++w) {
+                    const PV pv = good.get(net, w);
+                    active[w] = (stuck_one ? ~pv.v : pv.v) & ~pv.x;
+                }
+                PatternSim comp = settled(nl, src);
+                comp.injectComplement(net, active.data());
+                comp.propagate();
+                PatternSim stuck = settled(nl, src);
+                stuck.injectFault(FaultSite{net, kInvalidId, -1, stuck_one});
+                stuck.propagate();
+                for (unsigned w = 0; w < W; ++w) {
+                    const std::uint64_t x = good.get(net, w).x;
+                    for (NetId n = 0; n < nl.netCount(); ++n) {
+                        EXPECT_TRUE(sameIn(comp.get(n, w), stuck.get(n, w), ~x))
+                            << nl.net(n).name << " W " << W << " stuck-at-" << stuck_one;
+                        EXPECT_TRUE(sameIn(comp.get(n, w), good.get(n, w), x))
+                            << nl.net(n).name << " W " << W << " stuck-at-" << stuck_one;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(PatternSim, ClearFaultRestoresStateBeforeComplement) {
+    // The complement goes through the undo log: clearFault restores every
+    // net bit-exact with nothing left to propagate, and faultDiffOnto sees
+    // the excursion like a stuck-at one.
+    const Netlist nl = makeS27(lib());
+    std::vector<std::uint8_t> is_obs(nl.netCount(), 0);
+    for (const NetId po : nl.pos()) is_obs[po] = 1;
+    for (const unsigned W : kWidths) {
+        Rng rng(909);
+        PatternSim sim = settled(nl, randomSources(nl, rng, W, /*with_x=*/true));
+        const std::vector<PV> before = snapshot(sim);
+        bool observed = false;
+        for (const NetId net : {nl.pis()[0], nl.gate(nl.topoOrder()[2]).output}) {
+            const std::vector<std::uint64_t> slots = randomSlots(rng, W);
+            sim.injectComplement(net, slots.data());
+            sim.propagate();
+            EXPECT_NE(snapshot(sim), before) << "W " << W;
+            std::uint64_t diff[kMaxPackedWords];
+            sim.faultDiffOnto(is_obs.data(), diff);
+            for (unsigned w = 0; w < W; ++w) {
+                std::uint64_t want = 0;
+                for (const NetId po : nl.pos()) {
+                    const PV g = before[po * W + w];
+                    const PV c = sim.get(po, w);
+                    want |= (g.v ^ c.v) & ~g.x & ~c.x;
+                }
+                EXPECT_EQ(diff[w], want) << "W " << W << " word " << w;
+                observed = observed || want != 0;
+            }
+            sim.clearFault();
+            ASSERT_EQ(snapshot(sim), before) << "W " << W;
+            EXPECT_EQ(sim.propagate(), 0u);
+        }
+        EXPECT_TRUE(observed) << "no complement reached an output, W " << W;
+    }
+}
+
+TEST(PatternSim, ComplementRequiresQuiescentSimulator) {
+    // Pending events would be evaluated inside the excursion and then
+    // rolled back by clearFault, losing them: the call is refused instead.
+    const Netlist nl = makeS27(lib());
+    PatternSim sim(nl, 4);
+    Rng rng(1001);
+    applySources(sim, randomSources(nl, rng, 4));
+    const std::uint64_t slots[4] = {~0ULL, ~0ULL, ~0ULL, ~0ULL};
+    EXPECT_THROW(sim.injectComplement(nl.pis()[0], slots), std::logic_error);
+    sim.propagate();
+    const std::vector<PV> settled_state = snapshot(sim);
+    sim.injectComplement(nl.pis()[0], slots);
+    sim.propagate();
+    sim.clearFault();
+    EXPECT_EQ(snapshot(sim), settled_state);
 }
 
 TEST(PatternSim, ResetClearsFaultState) {
