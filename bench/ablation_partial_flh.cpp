@@ -84,7 +84,7 @@ int main() {
             const ApplicationResult r = app.apply(atpg.tests[i]);
             if (r.hold_intact) ++holds;
             if (r.launch_faithful) ++launches;
-            if (r.captured == expectedCapture(nl, atpg.tests[i])) ++captures;
+            if (r.captured == nextState(nl, atpg.tests[i].v2)) ++captures;
             fidelity += r.hold_fidelity_pct;
         }
         table.addRow({fmt(frac * 100.0, 0), std::to_string(k), fmt(area_pct),

@@ -40,7 +40,7 @@ int main() {
         std::cout << "launch transition V1->V2   : " << (r.launch_faithful ? "yes" : "NO")
                   << "\n";
         std::cout << "captured == good response  : "
-                  << (r.captured == expectedCapture(nl, tp) ? "yes" : "NO") << "\n\n";
+                  << (r.captured == nextState(nl, tp.v2) ? "yes" : "NO") << "\n\n";
     }
 
     std::cout << "Paper reference: FLH uses only the existing test control TC (and its\n"

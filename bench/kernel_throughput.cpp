@@ -380,8 +380,12 @@ public:
         }
     }
 
+    /// Writes BENCH_kernel_throughput.json unless no group collected a
+    /// sample (--benchmark_list_tests, a filter matching nothing): an empty
+    /// export would overwrite a previous run's file, baselines included.
     void writeExport(const std::string& out_flag) const {
         obs::BenchWriter bw("flh.bench.kernel_throughput/1");
+        std::size_t exported = 0;
         for (const std::string& name : order_) {
             const Samples& s = groups_.at(name);
             obs::BenchEntry e;
@@ -391,10 +395,16 @@ public:
             e.time_samples = s.time_ns;
             e.ips_samples = s.ips;
             // A group that only ever saw one repetition (user override of
-            // --benchmark_repetitions=1) keeps that single run as its
-            // sample rather than exporting an empty entry.
+            // --benchmark_repetitions=1) has no sample once the warmup is
+            // dropped, and is left out rather than exported empty.
             if (e.time_samples.empty() && s.warmup_dropped == 1) continue;
             bw.add(std::move(e));
+            ++exported;
+        }
+        if (exported == 0) {
+            std::cerr << "no benchmark collected a sample; BENCH_kernel_throughput.json "
+                         "not written\n";
+            return;
         }
         bw.writeFile("BENCH_kernel_throughput.json", out_flag);
     }

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const std::size_t n_apply = std::min<std::size_t>(16, atpg.tests.size());
     for (std::size_t i = 0; i < n_apply; ++i) {
         const ApplicationResult r = app.apply(atpg.tests[i]);
-        if (r.launch_faithful && r.captured == expectedCapture(nl, atpg.tests[i])) ++faithful;
+        if (r.launch_faithful && r.captured == nextState(nl, atpg.tests[i].v2)) ++faithful;
     }
     std::cout << "Application audit: " << faithful << "/" << n_apply
               << " tests applied with intact hold, faithful launch, correct capture\n\n";

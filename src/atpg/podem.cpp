@@ -13,16 +13,11 @@ Podem::Podem(const Netlist& nl, PodemConfig cfg)
 Podem::Podem(std::shared_ptr<const SimTables> tables, PodemConfig cfg)
     : nl_(tables->nl), cfg_(cfg), sim_(std::move(tables)) {
     const Netlist& nl = *nl_;
-    for (const NetId pi : nl.pis()) sources_.push_back(pi);
-    for (const GateId ff : nl.flipFlops()) sources_.push_back(nl.gate(ff).output);
     frozen_.assign(nl.netCount(), Logic::X);
     assigned_.assign(nl.netCount(), Logic::X);
     topo_pos_.assign(nl.gateCount(), 0);
     const auto& topo = nl.topoOrder();
     for (std::size_t i = 0; i < topo.size(); ++i) topo_pos_[topo[i]] = i;
-    is_obs_.assign(nl.netCount(), 0);
-    for (const NetId po : nl.pos()) is_obs_[po] = 1;
-    for (const GateId ff : nl.flipFlops()) is_obs_[nl.gate(ff).inputs[0]] = 1;
     in_cone_.assign(nl.gateCount(), 0);
     in_region_.assign(nl.gateCount(), 0);
 }
@@ -73,7 +68,7 @@ void Podem::resetState() {
     stack_.clear();
     backtracks_ = 0;
     if (fault_active_) sim_.injectFault(fault_, 0b10); // slot 1 = faulty machine
-    for (const NetId s : sources_) {
+    for (const NetId s : sim_.tables()->sources) {
         if (frozen_[s] != Logic::X) {
             assigned_[s] = frozen_[s];
             sim_.setNet(s, PV::all(frozen_[s]));
@@ -111,7 +106,7 @@ std::optional<std::pair<NetId, Logic>> Podem::backtrace(NetId net, Logic v) {
         const Gate& gate = nl_->gate(g);
 
         const auto evalWith = [&](std::size_t pin, Logic b) {
-            Logic ins[8];
+            Logic ins[kMaxGateArity];
             for (std::size_t p = 0; p < gate.inputs.size(); ++p)
                 ins[p] = (p == pin) ? b : goodValue(gate.inputs[p]);
             return evalCellScalar(gate.fn, {ins, gate.inputs.size()});
@@ -148,8 +143,9 @@ void Podem::buildCone(const FaultSite& fault) {
         cone_gates_.push_back(g);
         work.push_back(nl_->gate(g).output);
     };
+    const std::vector<std::uint8_t>& is_obs = sim_.tables()->is_obs;
     const auto visitNet = [&](NetId n) {
-        if (is_obs_[n]) cone_obs_.push_back(n);
+        if (is_obs[n]) cone_obs_.push_back(n);
         for (const PinRef& pr : nl_->fanout(n)) visitGate(pr.gate);
     };
     // A pin fault differs only from its receiving gate onward; the input net
@@ -203,11 +199,13 @@ bool Podem::faultObserved() const {
 }
 
 Pattern Podem::extractPattern() const {
+    const std::vector<NetId>& src = sim_.tables()->sources;
+    const std::size_t n_pis = nl_->pis().size();
     Pattern p;
-    p.pis.reserve(nl_->pis().size());
-    p.state.reserve(nl_->flipFlops().size());
-    for (const NetId pi : nl_->pis()) p.pis.push_back(assigned_[pi]);
-    for (const GateId ff : nl_->flipFlops()) p.state.push_back(assigned_[nl_->gate(ff).output]);
+    p.pis.reserve(n_pis);
+    p.state.reserve(src.size() - n_pis);
+    for (std::size_t k = 0; k < n_pis; ++k) p.pis.push_back(assigned_[src[k]]);
+    for (std::size_t k = n_pis; k < src.size(); ++k) p.state.push_back(assigned_[src[k]]);
     return p;
 }
 

@@ -128,9 +128,7 @@ private:
     const Netlist* nl_;
     PodemConfig cfg_;
     PatternSim sim_; ///< slot 0 good machine, slot 1 faulty machine
-    std::vector<NetId> sources_;
     std::vector<std::size_t> topo_pos_; ///< per gate: index in topoOrder()
-    std::vector<std::uint8_t> is_obs_;  ///< per net: PO or FF D input
     std::vector<std::uint8_t> in_cone_; ///< per gate: mark during buildCone
     std::vector<GateId> cone_gates_;    ///< fault's fanout cone, topological
     std::vector<NetId> cone_obs_;       ///< observation points in the cone

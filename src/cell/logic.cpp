@@ -84,8 +84,8 @@ PV evalCell(CellFn fn, std::span<const PV> ins) noexcept {
 }
 
 Logic evalCellScalar(CellFn fn, std::span<const Logic> ins) noexcept {
-    PV packed[8];
-    assert(ins.size() <= 8);
+    PV packed[kMaxGateArity];
+    assert(ins.size() <= kMaxGateArity);
     for (std::size_t i = 0; i < ins.size(); ++i) packed[i] = PV::all(ins[i]);
     const PV r = evalCell(fn, std::span<const PV>(packed, ins.size()));
     return r.get(0);

@@ -50,7 +50,7 @@ CampaignResult DelayTestKit::runDelayTestCampaign(HoldStyle style,
         ++res.applied;
         if (r.hold_intact) ++res.holds_intact;
         if (r.launch_faithful) ++res.launches_faithful;
-        if (r.captured == expectedCapture(nl_, atpg.tests[i])) ++res.captures_correct;
+        if (r.captured == nextState(nl_, atpg.tests[i].v2)) ++res.captures_correct;
     }
     return res;
 }

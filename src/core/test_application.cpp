@@ -128,8 +128,4 @@ ApplicationResult TwoPatternApplicator::apply(const TwoPattern& tp) {
     return res;
 }
 
-std::vector<Logic> expectedCapture(const Netlist& nl, const TwoPattern& tp) {
-    return nextState(nl, tp.v2);
-}
-
 } // namespace flh

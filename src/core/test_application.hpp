@@ -69,8 +69,4 @@ private:
     bool use_custom_gated_ = false;
 };
 
-/// Reference capture: the circuit's combinational response to V2 evaluated
-/// directly (what a faithful application must produce).
-[[nodiscard]] std::vector<Logic> expectedCapture(const Netlist& nl, const TwoPattern& tp);
-
 } // namespace flh

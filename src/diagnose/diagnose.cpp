@@ -1,30 +1,10 @@
 #include "diagnose/diagnose.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace flh {
-
-namespace {
-
-void loadPattern(PatternSim& sim, const Pattern& p) {
-    const Netlist& nl = sim.netlist();
-    for (std::size_t i = 0; i < nl.pis().size(); ++i)
-        sim.setNet(nl.pis()[i], PV::all(p.pis[i]));
-    for (std::size_t i = 0; i < nl.flipFlops().size(); ++i)
-        sim.setNet(nl.gate(nl.flipFlops()[i]).output, PV::all(p.state[i]));
-    sim.propagate();
-}
-
-Response observe(const PatternSim& sim) {
-    const Netlist& nl = sim.netlist();
-    Response r;
-    r.reserve(nl.pos().size() + nl.flipFlops().size());
-    for (const NetId po : nl.pos()) r.push_back(sim.get(po).get(0));
-    for (const GateId ff : nl.flipFlops()) r.push_back(sim.get(nl.gate(ff).inputs[0]).get(0));
-    return r;
-}
-
-} // namespace
 
 std::vector<Response> simulateGoodResponses(const Netlist& nl,
                                             std::span<const TwoPattern> tests) {
@@ -33,7 +13,7 @@ std::vector<Response> simulateGoodResponses(const Netlist& nl,
     PatternSim sim(nl);
     for (const TwoPattern& tp : tests) {
         loadPattern(sim, tp.v2);
-        out.push_back(observe(sim));
+        out.push_back(response(sim));
     }
     return out;
 }
@@ -48,7 +28,7 @@ std::vector<Response> simulateFaultyResponses(const Netlist& nl,
     std::vector<Response> out;
     out.reserve(tests.size());
     PatternSim sim_v1(nl);
-    PatternSim sim_v2(nl);
+    PatternSim sim_v2(sim_v1.tables());
     for (const TwoPattern& tp : tests) {
         loadPattern(sim_v1, tp.v1);
         const bool launched = sim_v1.get(fault.net).get(0) == fault.initialValue();
@@ -56,12 +36,9 @@ std::vector<Response> simulateFaultyResponses(const Netlist& nl,
         if (launched) {
             sim_v2.injectFault(fault.equivalentStuckAt());
             sim_v2.propagate();
-            out.push_back(observe(sim_v2));
-            sim_v2.clearFault();
-            sim_v2.propagate();
-        } else {
-            out.push_back(observe(sim_v2));
         }
+        out.push_back(response(sim_v2));
+        sim_v2.clearFault(); // back to the good V2 state; a no-op when not launched
     }
     return out;
 }
@@ -83,6 +60,16 @@ std::size_t DiagnosisResult::bestTieSize() const {
 DiagnosisResult diagnose(const Netlist& nl, std::span<const TwoPattern> tests,
                          std::span<const Response> observed,
                          std::span<const TransitionFault> candidates) {
+    if (observed.size() != tests.size())
+        throw std::invalid_argument("diagnose: " + std::to_string(observed.size()) +
+                                    " observed responses for " +
+                                    std::to_string(tests.size()) + " tests");
+    const std::size_t width = nl.pos().size() + nl.flipFlops().size();
+    for (std::size_t t = 0; t < observed.size(); ++t)
+        if (observed[t].size() != width)
+            throw std::invalid_argument("diagnose: response " + std::to_string(t) + " has " +
+                                        std::to_string(observed[t].size()) + " values, " +
+                                        nl.name() + " captures " + std::to_string(width));
     DiagnosisResult res;
     res.ranking.reserve(candidates.size());
     for (std::size_t c = 0; c < candidates.size(); ++c) {

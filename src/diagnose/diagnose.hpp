@@ -15,10 +15,11 @@
 
 namespace flh {
 
-/// Per-test capture view (POs then FF D values, fully specified).
+/// Per-test capture view: response() of V2 (POs then FF D values).
 using Response = std::vector<Logic>;
 
-/// Simulate the responses a die with `fault` produces under `tests`.
+/// Simulate the responses a die with `fault` produces under `tests`. Throws
+/// std::invalid_argument for a test whose patterns do not fit the netlist.
 [[nodiscard]] std::vector<Response> simulateFaultyResponses(const Netlist& nl,
                                                             std::span<const TwoPattern> tests,
                                                             const TransitionFault& fault);
@@ -43,7 +44,8 @@ struct DiagnosisResult {
 };
 
 /// Rank `candidates` by how well their simulated responses explain
-/// `observed` (one response per test).
+/// `observed` (one response per test). Throws std::invalid_argument unless
+/// there is one observed response per test, each |POs| + |FFs| wide.
 [[nodiscard]] DiagnosisResult diagnose(const Netlist& nl, std::span<const TwoPattern> tests,
                                        std::span<const Response> observed,
                                        std::span<const TransitionFault> candidates);

@@ -5,6 +5,7 @@
 #include "util/rng.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace flh {
 
@@ -37,18 +38,39 @@ std::vector<Pattern> randomPatterns(const Netlist& nl, std::size_t count, std::u
     return out;
 }
 
-std::vector<Logic> nextState(const Netlist& nl, const Pattern& p) {
-    PatternSim sim(nl);
-    const auto& pis = nl.pis();
-    const auto& ffs = nl.flipFlops();
-    for (std::size_t k = 0; k < pis.size(); ++k) sim.setNet(pis[k], PV::all(p.pis.at(k)));
-    for (std::size_t k = 0; k < ffs.size(); ++k)
-        sim.setNet(nl.gate(ffs[k]).output, PV::all(p.state.at(k)));
+void loadPattern(PatternSim& sim, const Pattern& p) {
+    const Netlist& nl = sim.netlist();
+    if (p.pis.size() != nl.pis().size() || p.state.size() != nl.flipFlops().size())
+        throw std::invalid_argument("loadPattern: pattern has " + std::to_string(p.pis.size()) +
+                                    " PIs + " + std::to_string(p.state.size()) +
+                                    " state bits, " + nl.name() + " has " +
+                                    std::to_string(nl.pis().size()) + " + " +
+                                    std::to_string(nl.flipFlops().size()));
+    const std::vector<NetId>& src = sim.tables()->sources;
+    const std::size_t n_pis = p.pis.size();
+    for (std::size_t k = 0; k < n_pis; ++k) sim.setNet(src[k], PV::all(p.pis[k]));
+    for (std::size_t k = 0; k < p.state.size(); ++k)
+        sim.setNet(src[n_pis + k], PV::all(p.state[k]));
     sim.propagate();
-    std::vector<Logic> next(ffs.size());
-    for (std::size_t k = 0; k < next.size(); ++k)
-        next[k] = sim.get(nl.gate(ffs[k]).inputs[0]).get(0);
-    return next;
+}
+
+std::vector<Logic> response(const PatternSim& sim) {
+    const std::vector<NetId>& obs = sim.tables()->observed;
+    std::vector<Logic> r(obs.size());
+    for (std::size_t k = 0; k < obs.size(); ++k) r[k] = sim.get(obs[k]).get(0);
+    return r;
+}
+
+std::vector<Logic> response(const Netlist& nl, const Pattern& p) {
+    PatternSim sim(nl);
+    loadPattern(sim, p);
+    return response(sim);
+}
+
+std::vector<Logic> nextState(const Netlist& nl, const Pattern& p) {
+    std::vector<Logic> r = response(nl, p);
+    r.erase(r.begin(), r.begin() + static_cast<std::ptrdiff_t>(nl.pos().size()));
+    return r;
 }
 
 TwoPattern makePair(const Netlist& nl, TestApplication style, const Pattern& v1,

@@ -62,8 +62,21 @@ struct FaultSimResult {
 [[nodiscard]] std::vector<Pattern> randomPatterns(const Netlist& nl, std::size_t count,
                                                   std::uint64_t seed);
 
-/// The circuit's next state under a pattern (combinational response captured
-/// into the flip-flops).
+/// Drive `p` onto the simulator's sources (SimTables::sources: PIs, then
+/// flip-flop Q nets) in every slot of word 0, and propagate. Throws
+/// std::invalid_argument unless `p` has one value per PI and per flip-flop.
+void loadPattern(PatternSim& sim, const Pattern& p);
+
+/// The settled full-scan response in word 0, slot 0: PO values, then
+/// flip-flop D values (SimTables::observed).
+[[nodiscard]] std::vector<Logic> response(const PatternSim& sim);
+
+/// The circuit's settled response to `p`: POs, then the capture into the
+/// flip-flops. Throws like loadPattern.
+[[nodiscard]] std::vector<Logic> response(const Netlist& nl, const Pattern& p);
+
+/// The circuit's next state under a pattern: the flip-flop tail of
+/// response(nl, p), i.e. what a faithful capture of V2 = p must produce.
 [[nodiscard]] std::vector<Logic> nextState(const Netlist& nl, const Pattern& p);
 
 /// Construct the V2 implied by an application style (broadside derives the

@@ -14,11 +14,13 @@ namespace flh {
 
 namespace {
 
-/// Load up to 64 patterns into the simulator (slot i = `at(i)`); missing
-/// slots repeat the last pattern so they never create spurious detections
-/// (their detection bits are masked off by `valid`). `at(i)` returns the
-/// block's pattern i, i < count: a stuck-at pattern or one half of a
-/// two-pattern test, read in place.
+/// The reference grader's loader: up to 64 patterns into the simulator
+/// (slot i = `at(i)`), one slot at a time; missing slots repeat the last
+/// pattern so they never create spurious detections (their detection bits
+/// are masked off by `valid`). `at(i)` returns the block's pattern i,
+/// i < count: a stuck-at pattern or one half of a two-pattern test, read in
+/// place. It derives the source nets from the Netlist itself, independent
+/// of SimTables::sources, because the packed engine is tested against it.
 template <class PatternAt>
 void loadPatterns(PatternSim& sim, std::size_t count, const PatternAt& at) {
     const Netlist& nl = sim.netlist();
@@ -39,12 +41,10 @@ void loadPatterns(PatternSim& sim, std::size_t count, const PatternAt& at) {
     sim.propagate();
 }
 
-/// Observation snapshot into a reusable buffer: POs then FF D nets.
+/// Observation snapshot (SimTables::observed) into a reusable buffer.
 void observeInto(const PatternSim& sim, std::vector<PV>& out) {
-    const Netlist& nl = sim.netlist();
     out.clear();
-    for (const NetId po : nl.pos()) out.push_back(sim.get(po));
-    for (const GateId ff : nl.flipFlops()) out.push_back(sim.get(nl.gate(ff).inputs[0]));
+    for (const NetId n : sim.tables()->observed) out.push_back(sim.get(n));
 }
 
 /// Slots where any observation point definitely differs.
@@ -65,7 +65,7 @@ std::uint64_t validMask(std::size_t count) {
 /// after the pool joins, which synchronizes everything.
 class DetectedBitmap {
 public:
-    explicit DetectedBitmap(std::size_t bits) : words_((bits + 63) / 64) {}
+    explicit DetectedBitmap(std::size_t bits) : bits_(bits), words_((bits + 63) / 64) {}
 
     [[nodiscard]] bool test(std::size_t i) const noexcept {
         return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1;
@@ -74,7 +74,21 @@ public:
         words_[i >> 6].fetch_or(1ULL << (i & 63), std::memory_order_relaxed);
     }
 
+    /// The run's verdict, one mask bit per fault; read after the pool joins.
+    [[nodiscard]] FaultSimResult result() const {
+        FaultSimResult res;
+        res.total = bits_;
+        res.detected_mask.assign(bits_, false);
+        for (std::size_t fi = 0; fi < bits_; ++fi)
+            if (test(fi)) {
+                res.detected_mask[fi] = true;
+                ++res.detected;
+            }
+        return res;
+    }
+
 private:
+    std::size_t bits_;
     std::vector<std::atomic<std::uint64_t>> words_;
 };
 
@@ -201,37 +215,26 @@ unsigned effectiveWords(unsigned words, std::size_t n_patterns) {
 /// revisiting all words*64 Pattern objects once per source net.
 template <class PatternAt>
 void loadPatternsPacked(PatternSim& sim, std::size_t count, const PatternAt& at) {
-    const Netlist& nl = sim.netlist();
     const unsigned W = sim.words();
-    const auto& pis = nl.pis();
-    const auto& ffs = nl.flipFlops();
-    const std::size_t n_pis = pis.size();
-    const std::size_t n_src = n_pis + ffs.size();
+    const std::vector<NetId>& src = sim.tables()->sources;
+    const std::size_t n_pis = sim.netlist().pis().size();
+    const std::size_t n_src = src.size();
     std::vector<std::uint64_t> tv(n_src * W, 0);
     std::vector<std::uint64_t> tx(n_src * W, 0);
+    const auto put = [&](std::size_t k, unsigned w, std::uint64_t bit, Logic l) {
+        if (l == Logic::One) tv[k * W + w] |= bit;
+        else if (l == Logic::X) tx[k * W + w] |= bit;
+    };
     for (unsigned w = 0; w < W; ++w) {
         for (unsigned slot = 0; slot < 64; ++slot) {
             const Pattern& p = at(std::min<std::size_t>(64ULL * w + slot, count - 1));
             const std::uint64_t bit = 1ULL << slot;
-            for (std::size_t k = 0; k < n_pis; ++k) {
-                const Logic l = p.pis[k];
-                if (l == Logic::One) tv[k * W + w] |= bit;
-                else if (l == Logic::X) tx[k * W + w] |= bit;
-            }
-            for (std::size_t k = 0; k < ffs.size(); ++k) {
-                const Logic l = p.state[k];
-                if (l == Logic::One) tv[(n_pis + k) * W + w] |= bit;
-                else if (l == Logic::X) tx[(n_pis + k) * W + w] |= bit;
-            }
+            for (std::size_t k = 0; k < n_pis; ++k) put(k, w, bit, p.pis[k]);
+            for (std::size_t k = n_pis; k < n_src; ++k) put(k, w, bit, p.state[k - n_pis]);
         }
     }
-    for (std::size_t k = 0; k < n_pis; ++k)
-        for (unsigned w = 0; w < W; ++w)
-            sim.setNet(pis[k], w, PV{tv[k * W + w], tx[k * W + w]});
-    for (std::size_t k = 0; k < ffs.size(); ++k)
-        for (unsigned w = 0; w < W; ++w)
-            sim.setNet(nl.gate(ffs[k]).output, w,
-                       PV{tv[(n_pis + k) * W + w], tx[(n_pis + k) * W + w]});
+    for (std::size_t k = 0; k < n_src; ++k)
+        for (unsigned w = 0; w < W; ++w) sim.setNet(src[k], w, PV{tv[k * W + w], tx[k * W + w]});
     sim.propagate();
 }
 
@@ -249,17 +252,6 @@ auto halfOf(std::span<const TwoPattern> tests, std::size_t base, bool first) {
     };
 }
 
-/// One flag per net marking the observation points (POs and FF D nets) for
-/// PatternSim::faultDiffOnto. The packed engine detects against the undo
-/// log's pre-fault planes, so no good-machine observation snapshot is ever
-/// taken: per fault it compares only the nets the fault cone touched.
-std::vector<std::uint8_t> observationFlags(const Netlist& nl) {
-    std::vector<std::uint8_t> is_obs(nl.netCount(), 0);
-    for (const NetId po : nl.pos()) is_obs[po] = 1;
-    for (const GateId ff : nl.flipFlops()) is_obs[nl.gate(ff).inputs[0]] = 1;
-    return is_obs;
-}
-
 /// Valid-slot mask of word `w` in a block of `count` patterns.
 std::uint64_t validMaskWord(std::size_t count, unsigned w) {
     const std::size_t lo = 64ULL * w;
@@ -272,22 +264,21 @@ std::uint64_t validMaskWord(std::size_t count, unsigned w) {
 FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pats,
                                   std::span<const FaultSite> faults,
                                   const FaultSimOptions& opts) {
-    FaultSimResult res;
-    res.total = faults.size();
-    res.detected_mask.assign(faults.size(), false);
-    if (pats.empty() || faults.empty()) return res;
+    DetectedBitmap det(faults.size());
+    if (pats.empty() || faults.empty()) return det.result();
 
     // One table set for every worker's simulators. Building it also forces
     // the Netlist's lazily built fanout/topo caches, so workers only read.
     const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
-    DetectedBitmap det(faults.size());
     const unsigned W = effectiveWords(opts.words, pats.size());
     const unsigned threads = opts.resolveThreads(faults.size());
     if (W) {
         runStriped(
             "stuck_at", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
                 PatternSim sim(tables, W);
-                const std::vector<std::uint8_t> is_obs = observationFlags(nl);
+                // Detection compares, against the undo log's pre-fault
+                // planes, only the observation points the fault cone touched.
+                const std::uint8_t* is_obs = tables->is_obs.data();
                 std::uint64_t diff[kMaxPackedWords];
                 std::uint64_t validw[kMaxPackedWords];
                 const std::size_t block = 64ULL * W;
@@ -307,7 +298,7 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
                             }
                             sim.injectFault(faults[fi]);
                             sim.propagate();
-                            sim.faultDiffOnto(is_obs.data(), diff);
+                            sim.faultDiffOnto(is_obs, diff);
                             sim.clearFault();
                             ++tally.graded;
                             std::uint64_t hit = 0;
@@ -320,54 +311,43 @@ FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pa
                     });
                 }
             });
-
-        for (std::size_t fi = 0; fi < faults.size(); ++fi)
-            if (det.test(fi)) {
-                res.detected_mask[fi] = true;
-                ++res.detected;
-            }
-        return res;
-    }
-    runStriped("stuck_at", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-        PatternSim sim(tables);
-        std::vector<PV> good;
-        std::vector<PV> faulty;
-        for (std::size_t base = 0; base < pats.size(); base += 64) {
-            obs::ScopedSpan batch_span(
-                obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                "fault_sim.batch");
-            ++tally.batches;
-            const std::size_t count = std::min<std::size_t>(64, pats.size() - base);
-            const std::uint64_t valid = validMask(count);
-            loadPatterns(sim, count, patternsFrom(pats, base));
-            observeInto(sim, good);
-            stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                for (std::size_t fi = lo; fi < hi; ++fi) {
-                    if (det.test(fi)) {
-                        ++tally.dropped;
-                        continue;
-                    }
-                    sim.injectFault(faults[fi]);
-                    sim.propagate();
-                    observeInto(sim, faulty);
-                    const std::uint64_t hit = diffMask(good, faulty) & valid;
-                    sim.clearFault();
-                    ++tally.graded;
-                    if (hit) {
-                        det.set(fi);
-                        ++tally.detected;
-                    }
+    } else {
+        runStriped(
+            "stuck_at", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+                PatternSim sim(tables);
+                std::vector<PV> good;
+                std::vector<PV> faulty;
+                for (std::size_t base = 0; base < pats.size(); base += 64) {
+                    obs::ScopedSpan batch_span(
+                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                        "fault_sim.batch");
+                    ++tally.batches;
+                    const std::size_t count = std::min<std::size_t>(64, pats.size() - base);
+                    const std::uint64_t valid = validMask(count);
+                    loadPatterns(sim, count, patternsFrom(pats, base));
+                    observeInto(sim, good);
+                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t fi = lo; fi < hi; ++fi) {
+                            if (det.test(fi)) {
+                                ++tally.dropped;
+                                continue;
+                            }
+                            sim.injectFault(faults[fi]);
+                            sim.propagate();
+                            observeInto(sim, faulty);
+                            const std::uint64_t hit = diffMask(good, faulty) & valid;
+                            sim.clearFault();
+                            ++tally.graded;
+                            if (hit) {
+                                det.set(fi);
+                                ++tally.detected;
+                            }
+                        }
+                    });
                 }
             });
-        }
-    });
-
-    for (std::size_t fi = 0; fi < faults.size(); ++fi)
-        if (det.test(fi)) {
-            res.detected_mask[fi] = true;
-            ++res.detected;
-        }
-    return res;
+    }
+    return det.result();
 }
 
 namespace {
@@ -421,7 +401,7 @@ std::size_t netGroupEnd(std::span<const TransitionFault> faults, std::size_t fi,
 } // namespace
 
 TransitionGrader::TransitionGrader(std::shared_ptr<const SimTables> tables, unsigned words)
-    : v1_(tables, words), v2_(tables, words), is_obs_(observationFlags(*tables->nl)) {}
+    : v1_(tables, words), v2_(std::move(tables), words) {}
 
 void TransitionGrader::loadBlock(std::span<const TwoPattern> tests, std::size_t base,
                                  std::size_t count) {
@@ -462,7 +442,7 @@ unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
     std::uint64_t diff[kMaxPackedWords];
     v2_.injectComplement(net, flip);
     v2_.propagate();
-    v2_.faultDiffOnto(is_obs_.data(), diff);
+    v2_.faultDiffOnto(v2_.tables()->is_obs.data(), diff);
     v2_.clearFault();
     unsigned found = 0;
     for (std::size_t i = 0; i < group.size(); ++i) {
@@ -480,15 +460,12 @@ unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
 FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPattern> tests,
                                      std::span<const TransitionFault> faults,
                                      const FaultSimOptions& opts) {
-    FaultSimResult res;
-    res.total = faults.size();
-    res.detected_mask.assign(faults.size(), false);
-    if (tests.empty() || faults.empty()) return res;
+    DetectedBitmap det(faults.size());
+    if (tests.empty() || faults.empty()) return det.result();
 
     // One table set for every worker's simulators. Building it also forces
     // the Netlist's lazily built fanout/topo caches, so workers only read.
     const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
-    DetectedBitmap det(faults.size());
     const unsigned W = effectiveWords(opts.words, tests.size());
     const unsigned threads = opts.resolveThreads(faults.size());
     if (W) {
@@ -528,49 +505,37 @@ FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPatte
                     });
                 }
             });
-
-        for (std::size_t fi = 0; fi < faults.size(); ++fi)
-            if (det.test(fi)) {
-                res.detected_mask[fi] = true;
-                ++res.detected;
-            }
-        return res;
+    } else {
+        runStriped(
+            "transition", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+                TransitionWorkerState ws(tables);
+                for (std::size_t base = 0; base < tests.size(); base += 64) {
+                    obs::ScopedSpan batch_span(
+                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                        "fault_sim.batch");
+                    ++tally.batches;
+                    const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
+                    const std::uint64_t valid = validMask(count);
+                    ws.loadBatch(tests, base, count);
+                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t fi = lo; fi < hi; ++fi) {
+                            if (det.test(fi)) {
+                                ++tally.dropped;
+                                continue;
+                            }
+                            const std::uint64_t init_ok = ws.launchMask(faults[fi]);
+                            if ((init_ok & valid) == 0) continue;
+                            ++tally.graded;
+                            if (ws.detectMask(faults[fi], init_ok, valid)) {
+                                det.set(fi);
+                                ++tally.detected;
+                            }
+                        }
+                    });
+                }
+            });
     }
-    runStriped("transition", faults.size(), threads,
-               [&](const Stripe& stripe, WorkerTally& tally) {
-                   TransitionWorkerState ws(tables);
-                   for (std::size_t base = 0; base < tests.size(); base += 64) {
-                       obs::ScopedSpan batch_span(
-                           obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                           "fault_sim.batch");
-                       ++tally.batches;
-                       const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-                       const std::uint64_t valid = validMask(count);
-                       ws.loadBatch(tests, base, count);
-                       stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                           for (std::size_t fi = lo; fi < hi; ++fi) {
-                               if (det.test(fi)) {
-                                   ++tally.dropped;
-                                   continue;
-                               }
-                               const std::uint64_t init_ok = ws.launchMask(faults[fi]);
-                               if ((init_ok & valid) == 0) continue;
-                               ++tally.graded;
-                               if (ws.detectMask(faults[fi], init_ok, valid)) {
-                                   det.set(fi);
-                                   ++tally.detected;
-                               }
-                           }
-                       });
-                   }
-               });
-
-    for (std::size_t fi = 0; fi < faults.size(); ++fi)
-        if (det.test(fi)) {
-            res.detected_mask[fi] = true;
-            ++res.detected;
-        }
-    return res;
+    return det.result();
 }
 
 std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
@@ -620,29 +585,30 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
                     });
                 }
             });
-        return counts;
-    }
-    runStriped("ndetect", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-        TransitionWorkerState ws(tables);
-        for (std::size_t base = 0; base < tests.size(); base += 64) {
-            obs::ScopedSpan batch_span(
-                obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                "fault_sim.batch");
-            ++tally.batches;
-            const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-            const std::uint64_t valid = validMask(count);
-            ws.loadBatch(tests, base, count);
-            stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                for (std::size_t fi = lo; fi < hi; ++fi) {
-                    const std::uint64_t init_ok = ws.launchMask(faults[fi]);
-                    if ((init_ok & valid) == 0) continue;
-                    ++tally.graded;
-                    counts[fi] += static_cast<std::size_t>(
-                        std::popcount(ws.detectMask(faults[fi], init_ok, valid)));
+    } else {
+        runStriped(
+            "ndetect", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+                TransitionWorkerState ws(tables);
+                for (std::size_t base = 0; base < tests.size(); base += 64) {
+                    obs::ScopedSpan batch_span(
+                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                        "fault_sim.batch");
+                    ++tally.batches;
+                    const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
+                    const std::uint64_t valid = validMask(count);
+                    ws.loadBatch(tests, base, count);
+                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t fi = lo; fi < hi; ++fi) {
+                            const std::uint64_t init_ok = ws.launchMask(faults[fi]);
+                            if ((init_ok & valid) == 0) continue;
+                            ++tally.graded;
+                            counts[fi] += static_cast<std::size_t>(
+                                std::popcount(ws.detectMask(faults[fi], init_ok, valid)));
+                        }
+                    });
                 }
             });
-        }
-    });
+    }
     return counts;
 }
 

@@ -148,7 +148,6 @@ public:
 private:
     PatternSim v1_;
     PatternSim v2_;
-    std::vector<std::uint8_t> is_obs_; ///< per net: PO or FF D input
 };
 
 } // namespace flh

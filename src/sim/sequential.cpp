@@ -16,12 +16,12 @@ const char* toString(HoldStyle s) noexcept {
 }
 
 SequentialSim::SequentialSim(const Netlist& nl, HoldStyle style)
-    : sim_(nl), style_(style), ffs_(nl.flipFlops()), first_level_(nl.uniqueFirstLevelGates()) {
-    state_.assign(ffs_.size(), PV::all(Logic::X));
+    : sim_(nl), style_(style), first_level_(nl.uniqueFirstLevelGates()) {
+    state_.assign(nl.flipFlops().size(), PV::all(Logic::X));
 }
 
 void SequentialSim::setState(const std::vector<PV>& state) {
-    if (state.size() != ffs_.size()) throw std::invalid_argument("state size mismatch");
+    if (state.size() != state_.size()) throw std::invalid_argument("state size mismatch");
     state_ = state;
     if (!holding_ || style_ == HoldStyle::None || style_ == HoldStyle::Flh) driveQ();
 }
@@ -37,16 +37,18 @@ void SequentialSim::setPis(const std::vector<PV>& pis) {
 }
 
 void SequentialSim::driveQ() {
-    const Netlist& nl = sim_.netlist();
-    for (std::size_t i = 0; i < ffs_.size(); ++i) sim_.setNet(nl.gate(ffs_[i]).output, state_[i]);
+    // Q nets are the tail of the sources, after the PIs.
+    const NetId* q = sim_.tables()->sources.data() + sim_.netlist().pis().size();
+    for (std::size_t i = 0; i < state_.size(); ++i) sim_.setNet(q[i], state_[i]);
 }
 
 void SequentialSim::settle() { sim_.propagate(); }
 
 void SequentialSim::clock() {
-    const Netlist& nl = sim_.netlist();
     settle();
-    for (std::size_t i = 0; i < ffs_.size(); ++i) state_[i] = sim_.get(nl.gate(ffs_[i]).inputs[0]);
+    // D nets are the tail of the observation points, after the POs.
+    const NetId* d = sim_.tables()->observed.data() + sim_.netlist().pos().size();
+    for (std::size_t i = 0; i < state_.size(); ++i) state_[i] = sim_.get(d[i]);
     driveQ();
     settle();
 }
@@ -111,11 +113,9 @@ void SequentialSim::setHolding(bool holding) {
 }
 
 std::vector<PV> SequentialSim::observe() const {
-    const Netlist& nl = sim_.netlist();
-    std::vector<PV> out;
-    out.reserve(nl.pos().size() + ffs_.size());
-    for (const NetId po : nl.pos()) out.push_back(sim_.get(po));
-    for (const GateId ff : ffs_) out.push_back(sim_.get(nl.gate(ff).inputs[0]));
+    const std::vector<NetId>& obs = sim_.tables()->observed;
+    std::vector<PV> out(obs.size());
+    for (std::size_t k = 0; k < obs.size(); ++k) out[k] = sim_.get(obs[k]);
     return out;
 }
 

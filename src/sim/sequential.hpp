@@ -34,7 +34,7 @@ public:
     [[nodiscard]] PatternSim& sim() noexcept { return sim_; }
     [[nodiscard]] const PatternSim& sim() const noexcept { return sim_; }
     [[nodiscard]] HoldStyle style() const noexcept { return style_; }
-    [[nodiscard]] std::size_t ffCount() const noexcept { return ffs_.size(); }
+    [[nodiscard]] std::size_t ffCount() const noexcept { return state_.size(); }
 
     /// Current FF state (per FF, in scan-chain order).
     [[nodiscard]] const std::vector<PV>& state() const noexcept { return state_; }
@@ -72,8 +72,9 @@ public:
     void setHolding(bool holding);
     [[nodiscard]] bool holding() const noexcept { return holding_; }
 
-    /// Observed response: PO values followed by FF D values (the capture
-    /// view used to compare good/faulty machines).
+    /// Observed response: PO values followed by FF D values
+    /// (SimTables::observed, the capture view used to compare good/faulty
+    /// machines).
     [[nodiscard]] std::vector<PV> observe() const;
 
 private:
@@ -81,7 +82,6 @@ private:
 
     PatternSim sim_;
     HoldStyle style_;
-    std::vector<GateId> ffs_;
     std::vector<GateId> first_level_;
     std::vector<PV> state_;
     bool holding_ = false;

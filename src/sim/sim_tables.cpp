@@ -45,6 +45,14 @@ SimTables::SimTables(const Netlist& nl) : nl(&nl) {
     in_net.reserve(in_off.back());
     for (GateId g = 0; g < n_gates; ++g)
         for (const NetId in : nl.gate(g).inputs) in_net.push_back(in);
+
+    const auto& ffs = nl.flipFlops();
+    sources.assign(nl.pis().begin(), nl.pis().end());
+    observed.assign(nl.pos().begin(), nl.pos().end());
+    for (const GateId ff : ffs) sources.push_back(nl.gate(ff).output);
+    for (const GateId ff : ffs) observed.push_back(nl.gate(ff).inputs[0]);
+    is_obs.assign(n_nets, 0);
+    for (const NetId n : observed) is_obs[n] = 1;
 }
 
 } // namespace flh

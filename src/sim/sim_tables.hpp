@@ -9,6 +9,16 @@
 // machines of a transition grader or the PODEM instances of a parallel
 // top-off share one copy instead of building their own.
 //
+// The tables also own the full-scan view of the paper's test protocol
+// (scan in PIs + state, launch, capture POs + flip-flop D inputs): `sources`
+// is the order of Pattern::pis then Pattern::state, `observed` the order of
+// a captured response, `is_obs` the same points as a per-net flag. Every
+// loader and reader of a full-scan pattern goes through these three
+// (fault/fault_sim.hpp: loadPattern, response). Two oracles deliberately
+// keep their own derivation so tests can compare against them: the
+// words = 0 reference fault grader (fault/parallel_sim.cpp) and the fuzzer's
+// naive scalar evaluator (verify/fuzz.cpp).
+//
 // The tables are a snapshot: edit the Netlist and they are stale. Build
 // them after the netlist is final, like any simulator.
 #pragma once
@@ -48,6 +58,12 @@ struct SimTables {
     /// the per-event path never asks whether a gate is sequential.
     std::vector<std::uint8_t> sequential;
     int depth = 0; ///< Netlist::logicDepth()
+    /// PI nets, then flip-flop Q nets: where Pattern::pis + Pattern::state go.
+    std::vector<NetId> sources;
+    /// PO nets, then flip-flop D nets: the capture order of a response.
+    std::vector<NetId> observed;
+    /// Per net: 1 for a net in `observed`.
+    std::vector<std::uint8_t> is_obs;
 };
 
 } // namespace flh

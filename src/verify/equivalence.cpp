@@ -11,15 +11,6 @@ namespace flh {
 
 namespace {
 
-void applyPattern(PatternSim& sim, const Pattern& p) {
-    const Netlist& nl = sim.netlist();
-    if (p.pis.size() != nl.pis().size() || p.state.size() != nl.flipFlops().size())
-        throw std::invalid_argument("pattern shape mismatch for " + nl.name());
-    for (std::size_t k = 0; k < p.pis.size(); ++k) sim.setNet(nl.pis()[k], PV::all(p.pis[k]));
-    for (std::size_t k = 0; k < p.state.size(); ++k)
-        sim.setNet(nl.gate(nl.flipFlops()[k]).output, PV::all(p.state[k]));
-}
-
 /// Compare two Logic vectors; X compares equal only to X (the oracle and the
 /// protocol must agree even about what is unknown).
 void compareBits(const std::vector<Logic>& expected, const std::vector<Logic>& got,
@@ -68,16 +59,6 @@ const Netlist& VariantNetlists::forStyle(HoldStyle s, const Netlist& reference) 
     return reference;
 }
 
-std::vector<Logic> expectedPoResponse(const Netlist& nl, const Pattern& p) {
-    PatternSim sim(nl);
-    applyPattern(sim, p);
-    sim.evalAll();
-    std::vector<Logic> out;
-    out.reserve(nl.pos().size());
-    for (const NetId po : nl.pos()) out.push_back(sim.get(po).get(0));
-    return out;
-}
-
 EquivalenceReport checkDftEquivalence(const Netlist& reference, std::span<const TwoPattern> pairs,
                                       const EquivalenceOptions& opts,
                                       const VariantNetlists& variants) {
@@ -88,9 +69,12 @@ EquivalenceReport checkDftEquivalence(const Netlist& reference, std::span<const 
     EquivalenceReport rep;
     for (std::size_t p = 0; p < pairs.size(); ++p) {
         const TwoPattern& tp = pairs[p];
-        const std::vector<Logic> oracle_capture = expectedCapture(reference, tp);
-        const std::vector<Logic> oracle_po =
-            opts.check_pos ? expectedPoResponse(reference, tp.v2) : std::vector<Logic>{};
+        // The oracle: V2's response evaluated directly, POs then capture.
+        std::vector<Logic> oracle_capture = response(reference, tp.v2);
+        const auto n_pos = static_cast<std::ptrdiff_t>(reference.pos().size());
+        const std::vector<Logic> oracle_po(oracle_capture.begin(),
+                                           oracle_capture.begin() + n_pos);
+        oracle_capture.erase(oracle_capture.begin(), oracle_capture.begin() + n_pos);
 
         for (const HoldStyle style : opts.styles) {
             const Netlist& impl = variants.forStyle(style, reference);

@@ -74,10 +74,6 @@ struct EquivalenceReport {
                                                     const EquivalenceOptions& opts = {},
                                                     const VariantNetlists& variants = {});
 
-/// Primary-output response to a pattern, evaluated directly (the PO half of
-/// the oracle; expectedCapture in core/test_application.hpp is the FF half).
-[[nodiscard]] std::vector<Logic> expectedPoResponse(const Netlist& nl, const Pattern& p);
-
 /// Fully random (V1, V2) pairs: both halves independent, arbitrary — the
 /// pairs only enhanced scan and FLH can apply.
 [[nodiscard]] std::vector<TwoPattern> randomTwoPatterns(const Netlist& nl, std::size_t count,

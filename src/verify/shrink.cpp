@@ -12,10 +12,7 @@ namespace {
 /// Settled value of `net` under pattern `p`, slot 0.
 Logic settledValue(const Netlist& nl, const Pattern& p, NetId net) {
     PatternSim sim(nl);
-    for (std::size_t k = 0; k < p.pis.size(); ++k) sim.setNet(nl.pis()[k], PV::all(p.pis[k]));
-    for (std::size_t k = 0; k < p.state.size(); ++k)
-        sim.setNet(nl.gate(nl.flipFlops()[k]).output, PV::all(p.state[k]));
-    sim.evalAll();
+    loadPattern(sim, p);
     return sim.get(net).get(0);
 }
 

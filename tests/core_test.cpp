@@ -17,7 +17,7 @@ TEST(TestApplication, FaithfulWithFlh) {
         const ApplicationResult r = app.apply(tp);
         EXPECT_TRUE(r.hold_intact);
         EXPECT_TRUE(r.launch_faithful);
-        EXPECT_EQ(r.captured, expectedCapture(nl, tp));
+        EXPECT_EQ(r.captured, nextState(nl, tp.v2));
         // Scan-out returns the captured response in chain order.
         EXPECT_EQ(r.scan_out, r.captured);
     }
@@ -33,7 +33,7 @@ TEST(TestApplication, FaithfulWithEnhancedScanAndMux) {
         const ApplicationResult r = app.apply(tp);
         EXPECT_TRUE(r.hold_intact) << toString(style);
         EXPECT_TRUE(r.launch_faithful) << toString(style);
-        EXPECT_EQ(r.captured, expectedCapture(nl, tp)) << toString(style);
+        EXPECT_EQ(r.captured, nextState(nl, tp.v2)) << toString(style);
     }
 }
 
@@ -50,7 +50,7 @@ TEST(TestApplication, PlainScanCannotHold) {
         const ApplicationResult r = app.apply(TwoPattern{pats[i], pats[i + 1]});
         if (r.hold_intact) ++intact;
         // The capture itself is still the V2 response (state got loaded).
-        EXPECT_EQ(r.captured, expectedCapture(nl, TwoPattern{pats[i], pats[i + 1]}));
+        EXPECT_EQ(r.captured, nextState(nl, pats[i + 1]));
     }
     EXPECT_EQ(intact, 0u);
 }

@@ -132,5 +132,36 @@ TEST(Diagnose, GoodDieMatchesEverywhere) {
     }
 }
 
+TEST(Diagnose, ShortPatternThrowsInvalidArgument) {
+    const Netlist nl = scanned("s298");
+    const auto faults = allTransitionFaults(nl);
+    const auto pats = randomPatterns(nl, 2, 51);
+    std::vector<TwoPattern> tests{TwoPattern{pats[0], pats[1]}};
+    tests[0].v1.pis.pop_back();
+    EXPECT_THROW((void)simulateFaultyResponses(nl, tests, faults[0]), std::invalid_argument);
+    tests[0] = TwoPattern{pats[0], pats[1]};
+    tests[0].v2.state.pop_back();
+    EXPECT_THROW((void)simulateFaultyResponses(nl, tests, faults[0]), std::invalid_argument);
+}
+
+TEST(Diagnose, RejectsMismatchedObservations) {
+    const Netlist nl = scanned("s298");
+    const auto faults = allTransitionFaults(nl);
+    const auto pats = randomPatterns(nl, 6, 61);
+    const std::vector<TwoPattern> tests{TwoPattern{pats[0], pats[1]},
+                                        TwoPattern{pats[2], pats[3]},
+                                        TwoPattern{pats[4], pats[5]}};
+    auto observed = simulateGoodResponses(nl, tests);
+    ASSERT_EQ(observed[0].size(), nl.pos().size() + nl.flipFlops().size());
+    EXPECT_NO_THROW((void)diagnose(nl, tests, observed, faults));
+
+    // One response per test: a short list would be read past its end.
+    const std::vector<Response> fewer(observed.begin(), observed.end() - 1);
+    EXPECT_THROW((void)diagnose(nl, tests, fewer, faults), std::invalid_argument);
+    // Each response |POs| + |FFs| wide.
+    observed[1].pop_back();
+    EXPECT_THROW((void)diagnose(nl, tests, observed, faults), std::invalid_argument);
+}
+
 } // namespace
 } // namespace flh

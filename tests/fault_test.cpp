@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace flh {
 namespace {
 
@@ -118,9 +120,32 @@ TEST(TwoPatternSim, NextStateMatchesSequentialSim) {
         std::vector<PV> pis(p.pis.size());
         for (std::size_t i = 0; i < pis.size(); ++i) pis[i] = PV::all(p.pis[i]);
         seq.setPis(pis);
+        seq.settle();
+        // response(): the settled POs, then the next state.
+        const std::vector<Logic> r = response(nl, p);
+        const std::vector<PV> obs = seq.observe();
+        ASSERT_EQ(r.size(), nl.pos().size() + ns.size());
+        ASSERT_EQ(obs.size(), r.size());
+        for (std::size_t i = 0; i < r.size(); ++i) EXPECT_EQ(obs[i].get(0), r[i]);
+        EXPECT_TRUE(std::equal(ns.begin(), ns.end(), r.begin() + nl.pos().size()));
         seq.clock();
         for (std::size_t i = 0; i < ns.size(); ++i) EXPECT_EQ(seq.state()[i].get(0), ns[i]);
     }
+}
+
+TEST(TwoPatternSim, ShortPatternThrowsInvalidArgument) {
+    const Netlist nl = makeS27(lib());
+    const Pattern good = randomPatterns(nl, 1, 5)[0];
+    Pattern short_pis = good;
+    short_pis.pis.pop_back();
+    Pattern short_state = good;
+    short_state.state.pop_back();
+    EXPECT_THROW((void)nextState(nl, short_pis), std::invalid_argument);
+    EXPECT_THROW((void)nextState(nl, short_state), std::invalid_argument);
+    EXPECT_THROW((void)response(nl, short_pis), std::invalid_argument);
+    PatternSim sim(nl);
+    EXPECT_THROW(loadPattern(sim, short_state), std::invalid_argument);
+    EXPECT_NO_THROW(loadPattern(sim, good));
 }
 
 TEST(TwoPatternSim, MakePairRespectsConstraints) {

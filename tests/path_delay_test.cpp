@@ -119,6 +119,35 @@ TEST(PathSensitization, TestsPathValidator) {
     EXPECT_FALSE(testsPath(nl, fault, bad2));
 }
 
+TEST(PathSensitization, TestsPathRejectsShortPatterns) {
+    const Netlist chain = chainCircuit();
+    const PathDelayFault chain_fault{enumerateCriticalPaths(chain, {}, 0.5)[0], true};
+    TwoPattern tp;
+    tp.v1 = Pattern{{Logic::Zero, Logic::One}, {}}; // one PI short
+    tp.v2 = Pattern{{Logic::One, Logic::One, Logic::Zero}, {}};
+    EXPECT_THROW((void)testsPath(chain, chain_fault, tp), std::invalid_argument);
+
+    // y = NAND(a, q) with q a flip-flop capturing y: the path a -> y needs
+    // q = 1 from the scan state.
+    Netlist nl("nand_ff", lib());
+    const NetId a = nl.addPi("a");
+    const NetId q = nl.addNet("q");
+    const NetId y = nl.addNet("y");
+    const GateId nand = nl.addGate(CellFn::Nand, {a, q}, y);
+    nl.addGate(CellFn::Dff, {y}, q);
+    nl.markPo(y);
+    const PathDelayFault fault{DelayPath{{a, y}, {nand}, 0.0}, true};
+    const TwoPattern valid{Pattern{{Logic::Zero}, {Logic::One}},
+                           Pattern{{Logic::One}, {Logic::One}}};
+    ASSERT_TRUE(testsPath(nl, fault, valid));
+    TwoPattern short_v1 = valid;
+    short_v1.v1.state.clear();
+    EXPECT_THROW((void)testsPath(nl, fault, short_v1), std::invalid_argument);
+    TwoPattern short_v2 = valid;
+    short_v2.v2.state.clear();
+    EXPECT_THROW((void)testsPath(nl, fault, short_v2), std::invalid_argument);
+}
+
 class PathAtpgStyles : public ::testing::TestWithParam<TestApplication> {};
 
 TEST_P(PathAtpgStyles, GeneratedTestsValidateAndRespectConstraints) {
