@@ -7,6 +7,8 @@
 
 namespace flh {
 
+static_assert(2 * kMaxGateArity <= 64, "backtrace packs two candidates per input into a PV");
+
 Podem::Podem(const Netlist& nl, PodemConfig cfg)
     : Podem(std::make_shared<const SimTables>(nl), cfg) {}
 
@@ -55,9 +57,13 @@ void Podem::flushCounters() const {
     static obs::Counter& c_calls = obs::counter("podem.calls");
     static obs::Counter& c_gate_evals = obs::counter("podem.gate_evals");
     static obs::Counter& c_region_gates = obs::counter("podem.region_gates");
+    static obs::Counter& c_decisions = obs::counter("podem.decisions");
+    static obs::Counter& c_backtracks = obs::counter("podem.backtracks");
     c_calls.add(1);
     c_gate_evals.add(gate_evals_);
     c_region_gates.add(region_.size());
+    c_decisions.add(decisions_);
+    c_backtracks.add(backtracks_);
 }
 
 void Podem::resetState() {
@@ -66,6 +72,7 @@ void Podem::resetState() {
     gate_evals_ = 0;
     assigned_.assign(nl_->netCount(), Logic::X);
     stack_.clear();
+    decisions_ = 0;
     backtracks_ = 0;
     if (fault_active_) sim_.injectFault(fault_, 0b10); // slot 1 = faulty machine
     for (const NetId s : sim_.tables()->sources) {
@@ -104,25 +111,29 @@ std::optional<std::pair<NetId, Logic>> Podem::backtrace(NetId net, Logic v) {
         const GateId g = nl_->net(net).driver;
         if (g == kInvalidId) return std::nullopt;
         const Gate& gate = nl_->gate(g);
+        const std::size_t arity = gate.inputs.size();
 
-        const auto evalWith = [&](std::size_t pin, Logic b) {
-            Logic ins[kMaxGateArity];
-            for (std::size_t p = 0; p < gate.inputs.size(); ++p)
-                ins[p] = (p == pin) ? b : goodValue(gate.inputs[p]);
-            return evalCellScalar(gate.fn, {ins, gate.inputs.size()});
-        };
+        // Every candidate in one packed evaluation: slot 2p + b holds the
+        // gate with input p set to b and the others at their good values.
+        PV ins[kMaxGateArity];
+        for (std::size_t p = 0; p < arity; ++p) {
+            ins[p] = PV::all(goodValue(gate.inputs[p]));
+            ins[p].set(static_cast<unsigned>(2 * p), Logic::Zero);
+            ins[p].set(static_cast<unsigned>(2 * p + 1), Logic::One);
+        }
+        const PV r = evalCell(gate.fn, {ins, arity});
 
         std::optional<std::pair<std::size_t, Logic>> forcing;
         std::optional<std::pair<std::size_t, Logic>> possible;
-        for (std::size_t p = 0; p < gate.inputs.size() && !forcing; ++p) {
+        for (std::size_t p = 0; p < arity && !forcing; ++p) {
             if (goodValue(gate.inputs[p]) != Logic::X) continue;
             for (const Logic b : {Logic::Zero, Logic::One}) {
-                const Logic r = evalWith(p, b);
-                if (r == v) {
+                const Logic rb = r.get(static_cast<unsigned>(2 * p + (b == Logic::One)));
+                if (rb == v) {
                     forcing = {p, b};
                     break;
                 }
-                if (r == Logic::X && !possible) possible = {p, b};
+                if (rb == Logic::X && !possible) possible = {p, b};
             }
         }
         const auto choice = forcing ? forcing : possible;
@@ -211,9 +222,9 @@ Pattern Podem::extractPattern() const {
 
 template <typename GoalFn, typename ObjectiveFn>
 PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Pattern& out) {
-    // Un-assignments only schedule events; the flipped decision's
-    // assignSource propagates them all at once. An emptied stack needs no
-    // propagation: the search is over and the next call resets the state.
+    // Popped decisions only clear assigned_; the flipped decision rolls the
+    // simulator back to the checkpoint taken before it was first assigned
+    // (all later assignments undone) and implies the negated value alone.
     const auto backtrack = [&]() -> bool {
         ++backtracks_;
         while (!stack_.empty()) {
@@ -221,11 +232,11 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
             if (!d.tried_both) {
                 d.tried_both = true;
                 d.value = negate(d.value);
+                sim_.rollback(d.mark);
                 assignSource(d.source, d.value);
                 return true;
             }
             assigned_[d.source] = Logic::X;
-            sim_.setNet(d.source, PV::all(Logic::X));
             stack_.pop_back();
         }
         return false;
@@ -256,7 +267,8 @@ PodemOutcome Podem::decisionLoop(GoalFn goal, ObjectiveFn next_objective, Patter
             if (!backtrack()) return PodemOutcome::Untestable;
             continue;
         }
-        stack_.push_back(Decision{assign->first, assign->second, false});
+        ++decisions_;
+        stack_.push_back(Decision{assign->first, assign->second, false, sim_.checkpoint()});
         assignSource(assign->first, assign->second);
     }
 }

@@ -19,10 +19,14 @@
 // order, stopping at flip-flops, plus the observation points inside it —
 // and the D-frontier and observation checks scan only those lists. The
 // first frontier gate is the same one a whole-netlist scan would find.
-// Backtracking un-assigns every popped decision and then propagates once,
-// with the flipped value: combinational steady state depends only on the
-// source values, so every decision point sees the same state as it would
-// after one propagation per un-assignment.
+// Each decision takes a simulator checkpoint (PatternSim::checkpoint) just
+// before its assignment. Backtracking pops the decisions already tried both
+// ways, which only clears their assignments, then rolls the simulator back
+// to the checkpoint of the decision it flips and implies the negated value
+// alone. Combinational steady state depends only on the source values, so
+// the restored state is exactly the one a re-simulation of the remaining
+// decisions would give, and every decision point sees the same state as
+// before: only the gates the flipped value changes are evaluated again.
 //
 // Sources can be frozen to fixed values before generation — that is how the
 // skewed-load ATPG constrains V1's state to be the shifted V2 state, and how
@@ -38,13 +42,20 @@
 // only on its own gates and the sources, and simulating only it leaves every
 // value the search reads — hence every decision, backtrack and pattern —
 // exactly as a whole-circuit simulation would. On s5378 the region is about
-// half the combinational gates. Counters podem.calls, podem.gate_evals and
-// podem.region_gates (summed per call, flushed once per call) show the
-// saving in a traced run: region_gates / calls is the mean region.
+// half the combinational gates. Counters podem.calls, podem.gate_evals,
+// podem.region_gates, podem.decisions and podem.backtracks (summed per
+// call, flushed once per call) show the saving in a traced run:
+// region_gates / calls is the mean region, and gate_evals against
+// decisions + backtracks is the implication cost per search step.
 //
-// Implication runs the simulator at one word (PatternSim's default width):
-// PODEM implies a single candidate assignment at a time (two slots of one
-// word), so wider planes would only add memory traffic. Grading the
+// Backtrace ranks a gate's candidates (input p set to b, the other inputs
+// at their good values) from one packed evalCell call, slot 2p + b per
+// candidate.
+//
+// Implication runs the simulator at one word (PatternSim's default width,
+// which runs its one-word instance): PODEM implies a single candidate
+// assignment at a time (two slots of one word), so wider planes would only
+// add memory traffic. Grading the
 // generated tests runs the same engine (runStuckAtFaultSim, and the
 // transition top-off's TransitionGrader) on a single word.
 #pragma once
@@ -93,6 +104,7 @@ private:
         NetId source;
         Logic value;
         bool tried_both;
+        PatternSim::Checkpoint mark; ///< taken just before the first assignment
     };
 
     /// Restrict the simulator to the transitive fanin of `seeds` (region_).
@@ -140,6 +152,7 @@ private:
     std::vector<Logic> frozen_;   ///< per net (X = not frozen)
     std::vector<Logic> assigned_; ///< per net (X = unassigned), sources only
     std::vector<Decision> stack_;
+    std::uint64_t decisions_ = 0; ///< this call's decisions (stack pushes)
     std::size_t backtracks_ = 0;
     bool fault_active_ = false;
     FaultSite fault_{};

@@ -4,7 +4,9 @@
 // logic_block_avx512.cpp (-mavx512f); each translation unit instantiates
 // evalBlockT with its own Batch type so all three kernels share one set of
 // Kleene formulas — the exact formulas of the 1-word ops in logic.cpp, which
-// is what makes every kernel bit-identical to evalCell.
+// is what makes every kernel bit-identical to evalCell. PatternSim's
+// one-word propagation (sim/pattern_sim.cpp) also calls the ScalarBatch
+// instance inline, the code every kernel runs for a one-word block.
 //
 // A Batch wraps `kWords` consecutive 64-bit plane words and provides the
 // bitwise ops; PVB<Batch> pairs a value batch with an unknown batch.

@@ -38,14 +38,17 @@ std::vector<Pattern> randomPatterns(const Netlist& nl, std::size_t count, std::u
     return out;
 }
 
-void loadPattern(PatternSim& sim, const Pattern& p) {
-    const Netlist& nl = sim.netlist();
+void checkPatternShape(const Netlist& nl, const Pattern& p, const char* who) {
     if (p.pis.size() != nl.pis().size() || p.state.size() != nl.flipFlops().size())
-        throw std::invalid_argument("loadPattern: pattern has " + std::to_string(p.pis.size()) +
-                                    " PIs + " + std::to_string(p.state.size()) +
-                                    " state bits, " + nl.name() + " has " +
-                                    std::to_string(nl.pis().size()) + " + " +
-                                    std::to_string(nl.flipFlops().size()));
+        throw std::invalid_argument(std::string(who) + ": pattern has " +
+                                    std::to_string(p.pis.size()) + " PIs + " +
+                                    std::to_string(p.state.size()) + " state bits, " +
+                                    nl.name() + " has " + std::to_string(nl.pis().size()) +
+                                    " + " + std::to_string(nl.flipFlops().size()));
+}
+
+void loadPattern(PatternSim& sim, const Pattern& p) {
+    checkPatternShape(sim.netlist(), p, "loadPattern");
     const std::vector<NetId>& src = sim.tables()->sources;
     const std::size_t n_pis = p.pis.size();
     for (std::size_t k = 0; k < n_pis; ++k) sim.setNet(src[k], PV::all(p.pis[k]));

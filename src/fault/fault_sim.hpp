@@ -62,6 +62,10 @@ struct FaultSimResult {
 [[nodiscard]] std::vector<Pattern> randomPatterns(const Netlist& nl, std::size_t count,
                                                   std::uint64_t seed);
 
+/// Throws std::invalid_argument, naming `who`, unless `p` has one value per
+/// PI and per flip-flop of `nl`.
+void checkPatternShape(const Netlist& nl, const Pattern& p, const char* who);
+
 /// Drive `p` onto the simulator's sources (SimTables::sources: PIs, then
 /// flip-flop Q nets) in every slot of word 0, and propagate. Throws
 /// std::invalid_argument unless `p` has one value per PI and per flip-flop.

@@ -238,6 +238,19 @@ void loadPatternsPacked(PatternSim& sim, std::size_t count, const PatternAt& at)
     sim.propagate();
 }
 
+/// The loaders read patterns unchecked, so every grading entry point checks
+/// the shapes first: each width then rejects a malformed pattern alike.
+void checkShapes(const Netlist& nl, std::span<const Pattern> pats, const char* who) {
+    for (const Pattern& p : pats) checkPatternShape(nl, p, who);
+}
+
+void checkShapes(const Netlist& nl, std::span<const TwoPattern> tests, const char* who) {
+    for (const TwoPattern& tp : tests) {
+        checkPatternShape(nl, tp.v1, who);
+        checkPatternShape(nl, tp.v2, who);
+    }
+}
+
 /// Pattern getter for the loaders: pattern i of a block starting at `base`.
 auto patternsFrom(std::span<const Pattern> pats, std::size_t base) {
     return [pats, base](std::size_t i) -> const Pattern& { return pats[base + i]; };
@@ -264,6 +277,7 @@ std::uint64_t validMaskWord(std::size_t count, unsigned w) {
 FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pats,
                                   std::span<const FaultSite> faults,
                                   const FaultSimOptions& opts) {
+    checkShapes(nl, pats, "runStuckAtFaultSim");
     DetectedBitmap det(faults.size());
     if (pats.empty() || faults.empty()) return det.result();
 
@@ -405,6 +419,7 @@ TransitionGrader::TransitionGrader(std::shared_ptr<const SimTables> tables, unsi
 
 void TransitionGrader::loadBlock(std::span<const TwoPattern> tests, std::size_t base,
                                  std::size_t count) {
+    checkShapes(v1_.netlist(), tests.subspan(base, count), "TransitionGrader::loadBlock");
     loadPatternsPacked(v1_, count, halfOf(tests, base, true));
     loadPatternsPacked(v2_, count, halfOf(tests, base, false));
 }
@@ -460,6 +475,7 @@ unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
 FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPattern> tests,
                                      std::span<const TransitionFault> faults,
                                      const FaultSimOptions& opts) {
+    checkShapes(nl, tests, "runTransitionFaultSim");
     DetectedBitmap det(faults.size());
     if (tests.empty() || faults.empty()) return det.result();
 
@@ -542,6 +558,7 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
                                                    std::span<const TwoPattern> tests,
                                                    std::span<const TransitionFault> faults,
                                                    const FaultSimOptions& opts) {
+    checkShapes(nl, tests, "countTransitionDetections");
     std::vector<std::size_t> counts(faults.size(), 0);
     if (tests.empty() || faults.empty()) return counts;
 

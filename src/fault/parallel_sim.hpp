@@ -91,7 +91,9 @@ struct FaultSimOptions {
     }
 };
 
-/// Stuck-at grading with fault dropping, striped across workers.
+/// Stuck-at grading with fault dropping, striped across workers. Like the
+/// two transition calls below, throws std::invalid_argument at every width
+/// unless each pattern has one value per PI and per flip-flop.
 [[nodiscard]] FaultSimResult runStuckAtFaultSim(const Netlist& nl,
                                                 std::span<const Pattern> pats,
                                                 std::span<const FaultSite> faults,
@@ -130,7 +132,8 @@ public:
 
     /// Load tests [base, base + count): test i in word i / 64, slot i % 64.
     /// Slots past `count` repeat the last test, so they never detect
-    /// anything the block does not.
+    /// anything the block does not. Throws std::invalid_argument unless
+    /// each loaded pattern has one value per PI and per flip-flop.
     void loadBlock(std::span<const TwoPattern> tests, std::size_t base, std::size_t count);
 
     /// Grade `group` — 1 to kMaxGroup faults on one net, in any order,

@@ -1,5 +1,7 @@
 #include "sim/pattern_sim.hpp"
 
+#include "cell/logic_block_impl.hpp"
+
 #include <algorithm>
 #include <bit>
 #include <cassert>
@@ -42,7 +44,9 @@ void PatternSim::reset() {
     stuck_gate_ = kInvalidId;
     undo_nets_.clear();
     undo_planes_.clear();
-    undo_mark_.assign(n_nets, 0);
+    logged_in_.assign(n_nets, 0);
+    epoch_ = 0;
+    excursion_ = Checkpoint{};
     toggles_.assign(n_nets, 0);
 }
 
@@ -68,8 +72,9 @@ void PatternSim::scheduleFanout(NetId net) {
     for (const GateId g : t.fanout(net)) schedule(t, g);
 }
 
-void PatternSim::forceStuck(const std::uint64_t* in, std::uint64_t* out) const noexcept {
-    const unsigned W = words_;
+template <unsigned kW>
+void PatternSim::forceStuckW(const std::uint64_t* in, std::uint64_t* out) const noexcept {
+    const unsigned W = kW ? kW : words_;
     const std::uint64_t slots = fault_slots_;
     for (unsigned w = 0; w < W; ++w) {
         out[w] = fault_.stuck_at_one ? (in[w] | slots) : (in[w] & ~slots);
@@ -77,31 +82,28 @@ void PatternSim::forceStuck(const std::uint64_t* in, std::uint64_t* out) const n
     }
 }
 
-void PatternSim::recordUndo(NetId net) {
-    if (undo_mark_[net]) return;
-    undo_mark_[net] = 1;
-    undo_nets_.push_back(net);
-    const std::uint64_t* cur = &planes_[planeIndex(net)];
-    undo_planes_.insert(undo_planes_.end(), cur, cur + 2 * words_);
-}
-
-void PatternSim::applyValue(NetId net, const std::uint64_t* planes) {
-    const unsigned W = words_;
+template <unsigned kW>
+void PatternSim::applyValueW(NetId net, const std::uint64_t* planes) {
+    const unsigned W = kW ? kW : words_;
     std::uint64_t forced[2 * kMaxPackedWords];
     if (net == stuck_net_) {
-        forceStuck(planes, forced);
+        forceStuckW<kW>(planes, forced);
         planes = forced;
     }
-    std::uint64_t* cur = &planes_[planeIndex(net)];
+    std::uint64_t* cur = &planes_[static_cast<std::size_t>(net) * 2 * W];
     std::uint64_t delta = 0;
     for (unsigned k = 0; k < 2 * W; ++k) delta |= cur[k] ^ planes[k];
     if (!delta) return;
-    if (fault_active_) recordUndo(net);
-    // Toggle counting is suspended while a fault is active: the faulty
-    // excursion's flips are rolled back by clearFault, so counting them (and
-    // counting the rollback writes, which bypass applyValue) would
-    // contaminate the power numbers derived from totalToggles().
-    if (count_toggles_ && !fault_active_) {
+    if (logged_in_[net] != epoch_) { // first write since the open checkpoint
+        logged_in_[net] = epoch_;
+        undo_nets_.push_back(net);
+        undo_planes_.insert(undo_planes_.end(), cur, cur + 2 * W);
+    }
+    // Toggle counting is suspended while a checkpoint is open: the flips of
+    // a fault excursion or a search are rolled back (and the rollback
+    // writes bypass applyValue), so counting them would contaminate the
+    // power numbers derived from totalToggles().
+    if (count_toggles_ && epoch_ == 0) {
         std::uint64_t flips = 0;
         for (unsigned w = 0; w < W; ++w)
             flips += static_cast<std::uint64_t>(
@@ -110,6 +112,13 @@ void PatternSim::applyValue(NetId net, const std::uint64_t* planes) {
     }
     std::memcpy(cur, planes, 2 * W * sizeof(std::uint64_t));
     scheduleFanout(net);
+}
+
+void PatternSim::applyValue(NetId net, const std::uint64_t* planes) {
+    if (words_ == 1)
+        applyValueW<1>(net, planes);
+    else
+        applyValueW<0>(net, planes);
 }
 
 void PatternSim::setNet(NetId net, unsigned word, PV value) {
@@ -129,12 +138,15 @@ PV PatternSim::get(NetId net, unsigned word) const {
     return PV{planes_.at(base + word), planes_[base + words_ + word]};
 }
 
-std::size_t PatternSim::propagate() {
+template <unsigned kW>
+std::size_t PatternSim::propagateW() {
     const SimTables& t = *t_;
-    const unsigned W = words_;
+    const unsigned W = kW ? kW : words_;
     // Resolve the SIMD kernel once per pass; per-gate dispatch through the
-    // table is measurable at fault-cone sizes (a few gates per grading).
-    const BlockKernelFn kernel = activeBlockKernel();
+    // table is measurable at fault-cone sizes (a few gates per grading). At
+    // one word every kernel runs its scalar tail, so that instance calls the
+    // scalar batch inline instead.
+    [[maybe_unused]] const BlockKernelFn kernel = kW == 1 ? nullptr : activeBlockKernel();
     const std::uint64_t* in_v[kMaxGateArity]; // arity checked by SimTables
     const std::uint64_t* in_x[kMaxGateArity];
     std::uint64_t out[2 * kMaxPackedWords];
@@ -151,25 +163,31 @@ std::size_t PatternSim::propagate() {
             const std::span<const NetId> inputs = t.inputs(g);
             const std::size_t arity = inputs.size();
             for (std::size_t p = 0; p < arity; ++p) {
-                const std::uint64_t* n = &planes_[planeIndex(inputs[p])];
+                const std::uint64_t* n = &planes_[static_cast<std::size_t>(inputs[p]) * 2 * W];
                 in_v[p] = n;
                 in_x[p] = n + W;
             }
             if (g == stuck_gate_) { // pin checked against the arity by injectFault
                 const auto p = static_cast<std::size_t>(fault_.pin);
-                forceStuck(in_v[p], pin);
+                forceStuckW<kW>(in_v[p], pin);
                 in_v[p] = pin;
                 in_x[p] = pin + W;
             }
             ++evals;
-            kernel(t.fn[g], in_v, in_x, arity, out, out + W, W);
-            applyValue(t.out[g], out);
+            if constexpr (kW == 1)
+                detail::evalBlockT<detail::ScalarBatch>(t.fn[g], in_v, in_x, arity, out, out + 1,
+                                                        0, 1);
+            else
+                kernel(t.fn[g], in_v, in_x, arity, out, out + W, W);
+            applyValueW<kW>(t.out[g], out);
         }
         q.clear();
     }
     min_pending_level_ = static_cast<int>(queue_by_level_.size());
     return evals;
 }
+
+std::size_t PatternSim::propagate() { return words_ == 1 ? propagateW<1>() : propagateW<0>(); }
 
 std::size_t PatternSim::evalAll() {
     for (const GateId g : t_->nl->topoOrder()) schedule(*t_, g);
@@ -199,6 +217,7 @@ void PatternSim::injectFault(const FaultSite& f, std::uint64_t slots) {
                            static_cast<std::size_t>(f.pin) >= t_->inputs(f.gate).size()))
         throw std::invalid_argument("PatternSim::injectFault: pin " + std::to_string(f.pin) +
                                     " is not an input of gate " + std::to_string(f.gate));
+    if (!fault_active_) excursion_ = checkpoint();
     fault_active_ = true;
     fault_ = f;
     fault_slots_ = slots;
@@ -225,6 +244,7 @@ void PatternSim::injectComplement(NetId net, const std::uint64_t* slots) {
         flipped[w] = cur[w] ^ (slots[w] & ~cur[W + w]);
         flipped[W + w] = cur[W + w];
     }
+    if (!fault_active_) excursion_ = checkpoint();
     fault_active_ = true;
     stuck_net_ = kInvalidId;
     stuck_gate_ = kInvalidId;
@@ -233,9 +253,12 @@ void PatternSim::injectComplement(NetId net, const std::uint64_t* slots) {
 }
 
 void PatternSim::faultDiffOnto(const std::uint8_t* is_obs, std::uint64_t* m) const {
+    // With no checkpoint inside the excursion, each entry since its start
+    // is a distinct net's pre-excursion planes.
+    assert(epoch_ == excursion_.epoch);
     const unsigned W = words_;
     for (unsigned w = 0; w < W; ++w) m[w] = 0;
-    for (std::size_t k = 0; k < undo_nets_.size(); ++k) {
+    for (std::size_t k = excursion_.entries; k < undo_nets_.size(); ++k) {
         const NetId net = undo_nets_[k];
         if (!is_obs[net]) continue;
         const std::uint64_t* good = &undo_planes_[k * 2 * W];
@@ -245,23 +268,29 @@ void PatternSim::faultDiffOnto(const std::uint8_t* is_obs, std::uint64_t* m) con
     }
 }
 
+void PatternSim::rollback(Checkpoint cp) noexcept {
+    assert(cp.entries <= undo_nets_.size() && cp.epoch <= epoch_);
+    const std::size_t stride = 2 * words_;
+    for (std::size_t k = undo_nets_.size(); k-- > cp.entries;) {
+        const NetId net = undo_nets_[k];
+        std::memcpy(&planes_[planeIndex(net)], &undo_planes_[k * stride],
+                    stride * sizeof(std::uint64_t));
+        logged_in_[net] = 0; // record it again on its next write
+    }
+    undo_nets_.resize(cp.entries);
+    undo_planes_.resize(cp.entries * stride);
+    epoch_ = cp.epoch;
+}
+
 void PatternSim::clearFault() {
     if (!fault_active_) return;
     fault_active_ = false;
     stuck_net_ = kInvalidId;
     stuck_gate_ = kInvalidId;
-    // Restore the recorded event frontier: only nets the faulty excursion
-    // touched are written back, nothing is re-evaluated. Toggle counts need
-    // no compensation: counting was suspended while the fault was active.
-    const std::size_t stride = 2 * words_;
-    for (std::size_t k = undo_nets_.size(); k-- > 0;) {
-        const NetId net = undo_nets_[k];
-        std::memcpy(&planes_[planeIndex(net)], &undo_planes_[k * stride],
-                    stride * sizeof(std::uint64_t));
-        undo_mark_[net] = 0;
-    }
-    undo_nets_.clear();
-    undo_planes_.clear();
+    // Toggle counts need no compensation: counting was suspended while the
+    // excursion's checkpoint was open.
+    rollback(excursion_);
+    --epoch_; // close the excursion's interval; 0 closes the log
 }
 
 std::uint64_t PatternSim::totalToggles() const noexcept {

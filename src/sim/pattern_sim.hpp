@@ -128,16 +128,49 @@ public:
     void setHeldAll(const std::vector<GateId>& gates, bool held);
     [[nodiscard]] bool isHeld(GateId gate) const { return (scheduled_.at(gate) & kHeld) != 0; }
 
-    // ---- fault excursions (PPSFP) ----------------------------------------
+    // ---- undo log: checkpoints and fault excursions -----------------------
+    // One undo log records the planes a net had before it was written, so
+    // the simulator can be rolled back to an earlier state without
+    // re-evaluating anything. checkpoint() opens a logging interval and
+    // returns a mark; from then on the first write of each net in the
+    // interval appends (net, old planes) to the log, so a net is recorded at
+    // most once per open checkpoint. rollback(mark) replays the entries
+    // written since the mark, newest first, and the restored nets are
+    // recorded again on their next write. With no checkpoint open (after
+    // reset(), or once clearFault() ends the outermost excursion) writes are
+    // not logged.
+    //
     // A fault excursion changes the simulator away from the good machine
-    // and is rolled back by clearFault. Two ways start one: injectFault
-    // forces a stuck-at fault (PODEM, stuck-at grading, BIST), and
-    // injectComplement flips a net's known value in chosen slots (transition
-    // grading: in a slot where a stuck-at fault on the net is activated, the
-    // two produce the same faulty machine, so one complement grades a net's
-    // slow-to-rise and slow-to-fall faults in one propagation). While an
-    // excursion is active every net change is recorded in an undo log (at
-    // most one entry per net) that faultDiffOnto and clearFault read.
+    // and is rolled back by clearFault. Two ways start one, each taking the
+    // excursion's checkpoint: injectFault forces a stuck-at fault (PODEM,
+    // stuck-at grading, BIST), and injectComplement flips a net's known
+    // value in chosen slots (transition grading: in a slot where a stuck-at
+    // fault on the net is activated, the two produce the same faulty
+    // machine, so one complement grades a net's slow-to-rise and
+    // slow-to-fall faults in one propagation). Inside an excursion that took
+    // no further checkpoint, the log holds each touched net once, with its
+    // pre-excursion planes; faultDiffOnto compares against those. PODEM
+    // checkpoints each decision and rolls back to it to flip the decision
+    // (atpg/podem.hpp).
+
+    /// A position in the undo log, returned by checkpoint().
+    struct Checkpoint {
+        std::size_t entries = 0;  ///< log length when the mark was taken
+        std::uint32_t epoch = 0;  ///< the logging interval the mark opened
+    };
+
+    /// Open a logging interval and mark the current state. Take it on a
+    /// quiescent simulator; the mark stays valid until reset() or a
+    /// rollback to an earlier mark.
+    [[nodiscard]] Checkpoint checkpoint() noexcept {
+        return Checkpoint{undo_nets_.size(), ++epoch_};
+    }
+
+    /// Restore every net written since `cp`, newest entry first, to its
+    /// planes at the mark. Evaluates nothing and schedules nothing; `cp`
+    /// stays open. Roll back on a quiescent simulator, so the restored
+    /// state is a settled one.
+    void rollback(Checkpoint cp) noexcept;
 
     /// Activate a stuck-at fault for subsequent propagation. The stuck value
     /// is forced only in the pattern slots set in `slots`, in every word
@@ -157,12 +190,12 @@ public:
     /// quiescent, like setHeld.
     void injectComplement(NetId net, const std::uint64_t* slots);
 
-    /// End the excursion and roll the simulator back to the exact state it
-    /// had when it began (injectFault / injectComplement), by restoring the
-    /// recorded event frontier — only the nets the faulty excursion actually
-    /// touched are written; nothing is re-evaluated. setNet calls made
-    /// during the excursion are rolled back too; sessions that keep a fault
-    /// active permanently (BIST, PODEM) discard the log via reset() instead.
+    /// End the excursion: roll back to its checkpoint (the state it had
+    /// when injectFault / injectComplement began it) and close that
+    /// checkpoint. Only the nets the excursion touched are written; nothing
+    /// is re-evaluated. setNet calls made during the excursion are rolled
+    /// back too; sessions that keep a fault active permanently (BIST, PODEM)
+    /// discard the log via reset() instead. A no-op with no fault active.
     void clearFault();
 
     /// Per-word detection diff against the pre-fault state: for every net
@@ -173,15 +206,17 @@ public:
     /// point cannot differ, so this is exactly the classical good-vs-faulty
     /// observation compare — but its cost scales with the fault cone, not
     /// with the number of observation points times words. Call between
-    /// propagate() and clearFault(); `is_obs` needs netCount() entries; `m`
-    /// (words() entries) is overwritten.
+    /// propagate() and clearFault(), with no checkpoint taken since the
+    /// excursion began; `is_obs` needs netCount() entries; `m` (words()
+    /// entries) is overwritten.
     void faultDiffOnto(const std::uint8_t* is_obs, std::uint64_t* m) const;
 
     // ---- toggle accounting ----------------------------------------------
     /// When enabled, every known-value bit flip on a net is counted
     /// (per-net, summed over slots and words). Counting is suspended while a
-    /// fault is active, so PPSFP fault grading leaves toggle counts exactly
-    /// as a fault-free run of the same patterns would.
+    /// checkpoint is open (every fault excursion takes one): rolled-back
+    /// flips never happened, so PPSFP fault grading leaves toggle counts
+    /// exactly as a fault-free run of the same patterns would.
     void enableToggleCount(bool on) { count_toggles_ = on; }
     void clearToggleCounts() { toggles_.assign(t_->nl->netCount(), 0); }
     [[nodiscard]] const std::vector<std::uint64_t>& toggleCounts() const noexcept {
@@ -204,11 +239,20 @@ private:
     }
     void schedule(const SimTables& t, GateId g);
     void scheduleFanout(NetId net);
-    /// Write `planes` (2W words: value then unknown) to `net`.
-    void applyValue(NetId net, const std::uint64_t* planes);
+    // The *W members come in two instances: kW = 1 (PODEM, the ATPG
+    // top-off grader, SequentialSim) inlines the one-word scalar kernel and
+    // copies fixed-size planes; kW = 0 reads the width from words_ and calls
+    // the dispatched SIMD kernel. Both compute the same values.
+    template <unsigned kW>
+    std::size_t propagateW();
+    /// Write `planes` (2W words: value then unknown) to `net`, logging the
+    /// net's old planes on its first write since the open checkpoint.
+    template <unsigned kW>
+    void applyValueW(NetId net, const std::uint64_t* planes);
+    void applyValue(NetId net, const std::uint64_t* planes); ///< picks the instance
     /// `in` (2W words) with the stuck value forced into the fault's slots.
-    void forceStuck(const std::uint64_t* in, std::uint64_t* out) const noexcept;
-    void recordUndo(NetId net);
+    template <unsigned kW>
+    void forceStuckW(const std::uint64_t* in, std::uint64_t* out) const noexcept;
 
     std::shared_ptr<const SimTables> t_;
     unsigned words_;
@@ -225,11 +269,18 @@ private:
     std::uint64_t fault_slots_ = ~0ULL;
     NetId stuck_net_ = kInvalidId;   ///< net of an active net fault
     GateId stuck_gate_ = kInvalidId; ///< receiving gate of an active pin fault
-    /// Event-frontier undo log: `undo_nets_[k]`'s pre-fault planes live at
+    /// Undo log: `undo_nets_[k]`'s earlier planes live at
     /// [k * 2W, (k + 1) * 2W) of undo_planes_, laid out like planes_.
     std::vector<NetId> undo_nets_;
     std::vector<std::uint64_t> undo_planes_;
-    std::vector<std::uint8_t> undo_mark_; ///< per net: already in undo_nets_
+    /// Per net: the epoch of its newest log entry, or 0. A write logs the
+    /// net unless this equals epoch_; rollback zeroes it for every net it
+    /// restores.
+    std::vector<std::uint32_t> logged_in_;
+    /// The open logging interval, 0 when none is open. rollback(cp) sets it
+    /// to cp.epoch, so epochs above it belong to no live entry.
+    std::uint32_t epoch_ = 0;
+    Checkpoint excursion_{}; ///< taken by the first injectFault/injectComplement
 
     bool count_toggles_ = false;
     std::vector<std::uint64_t> toggles_;

@@ -359,29 +359,39 @@ TEST(Podem, CountersShowTheRestrictedRegion) {
     // podem.region_gates sums each call's simulated gate count, so on s1423
     // (half its gates outside a typical fault's region) the mean region is
     // smaller than the circuit; podem.gate_evals sums propagate()'s work
-    // and podem.calls counts generate/justify calls.
+    // and podem.calls counts generate/justify calls. podem.backtracks sums
+    // each call's backtracksUsed(); every backtrack but a call's last flips
+    // a distinct decision, so podem.decisions bounds it.
     const Netlist nl = makeCircuit("s1423", lib());
     const auto faults = collapsedStuckAtFaults(nl);
     obs::reset();
     obs::setEnabled(true);
     Podem podem(nl, PodemConfig{.max_backtracks = 20});
     std::uint64_t calls = 0;
+    std::uint64_t backtracks = 0;
     for (std::size_t i = 0; i < faults.size(); i += 25, ++calls) {
         Pattern p;
         (void)podem.generate(faults[i], p);
+        backtracks += podem.backtracksUsed();
     }
     Pattern p;
     (void)podem.justify(nl.pos().front(), Logic::One, p);
+    backtracks += podem.backtracksUsed();
     ++calls;
     const std::uint64_t counted = obs::counter("podem.calls").value();
     const std::uint64_t evals = obs::counter("podem.gate_evals").value();
     const std::uint64_t region = obs::counter("podem.region_gates").value();
+    const std::uint64_t decisions = obs::counter("podem.decisions").value();
+    const std::uint64_t counted_backtracks = obs::counter("podem.backtracks").value();
     obs::setEnabled(false);
     obs::reset();
     EXPECT_EQ(counted, calls);
     EXPECT_GT(evals, 0u);
     EXPECT_GT(region, 0u);
     EXPECT_LT(region, calls * nl.combGates().size());
+    EXPECT_EQ(counted_backtracks, backtracks);
+    EXPECT_GT(backtracks, 0u);
+    EXPECT_LE(backtracks, decisions + calls);
 }
 
 TEST(StuckAtpg, HighCoverageOnS27) {

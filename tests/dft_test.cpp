@@ -395,7 +395,7 @@ TEST(ChainOrder, XBitsCarryNoTransitions) {
 
 TEST(ChainOrder, OptimizerNeverWorsens) {
     const Netlist nl = [] {
-        Netlist n = makeCircuit("s298", makeDefaultLibrary());
+        Netlist n = makeCircuit("s298", lib());
         insertScan(n);
         return n;
     }();

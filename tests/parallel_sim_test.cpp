@@ -202,6 +202,34 @@ TEST(ParallelFaultSim, EmptyFaultListAndEmptyPatternSet) {
     EXPECT_EQ(zero_counts, std::vector<std::size_t>(tfaults.size(), 0));
 }
 
+TEST(ParallelFaultSim, ShortPatternsThrowAtEveryWidth) {
+    // A pattern one PI or one state bit short is rejected by every grading
+    // entry point at every width: the reference grader (0) and the packed
+    // loaders, which would otherwise read past its end. The bad pattern sits
+    // in the second 64-pattern block.
+    const Netlist nl = makeCircuit("s298", lib());
+    auto pats = randomPatterns(nl, 100, 3);
+    pats[70].pis.pop_back();
+    auto tests = arbitraryPairs(nl, 100, 5);
+    tests[70].v2.state.pop_back();
+    const auto faults = collapsedStuckAtFaults(nl);
+    const auto tfaults = allTransitionFaults(nl);
+    for (const unsigned words : {0u, 1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "words " << words);
+        FaultSimOptions opts;
+        opts.words = words;
+        EXPECT_THROW((void)runStuckAtFaultSim(nl, pats, faults, opts), std::invalid_argument);
+        EXPECT_THROW((void)runTransitionFaultSim(nl, tests, tfaults, opts),
+                     std::invalid_argument);
+        EXPECT_THROW((void)countTransitionDetections(nl, tests, tfaults, opts),
+                     std::invalid_argument);
+        if (words == 0) continue;
+        TransitionGrader grader(std::make_shared<const SimTables>(nl), words);
+        EXPECT_THROW(grader.loadBlock(tests, 64, 36), std::invalid_argument);
+        EXPECT_NO_THROW(grader.loadBlock(tests, 0, 64));
+    }
+}
+
 TEST(ParallelFaultSim, MoreThreadsThanFaults) {
     const Netlist nl = makeS27(lib());
     const auto pats = randomPatterns(nl, 16, 7);

@@ -491,6 +491,71 @@ TEST(PatternSim, ComplementRequiresQuiescentSimulator) {
     EXPECT_EQ(snapshot(sim), settled_state);
 }
 
+TEST(PatternSim, RollbackRestoresEveryCheckpoint) {
+    // Nested checkpoints, each followed by new sources: rolling back to a
+    // mark must give exactly a fresh simulator's state for the sources at
+    // that mark (with the same fault, if one is injected), without
+    // evaluating anything. Writing new sources after a rollback and rolling
+    // back to the same mark again checks that restored nets are logged
+    // anew. clearFault after the rollbacks must restore the pre-excursion
+    // good machine.
+    const Netlist nl = makeCircuit("s298", lib());
+    const FaultSite fault{nl.gate(nl.topoOrder()[5]).output, kInvalidId, -1, true};
+    for (const unsigned W : kWidths) {
+        for (const bool with_fault : {false, true}) {
+            SCOPED_TRACE(::testing::Message() << "words " << W << " fault " << with_fault);
+            Rng rng(909 + W);
+            const auto reference = [&](const Sources& src) {
+                PatternSim fresh(nl, W);
+                if (with_fault) fresh.injectFault(fault);
+                applySources(fresh, src);
+                fresh.propagate();
+                return snapshot(fresh);
+            };
+            // Half the sources change per level, some to X, so levels
+            // rewrite nets an outer level already logged.
+            const auto perturb = [&](Sources src) {
+                for (auto& word : src)
+                    for (PV& v : word)
+                        if (rng.chance(0.5)) v = rng.chance(0.2) ? PV::all(Logic::X) : PV{rng.next(), 0};
+                return src;
+            };
+            const Sources base = randomSources(nl, rng, W);
+            PatternSim sim = settled(nl, base);
+            const std::vector<PV> good = snapshot(sim);
+            if (with_fault) {
+                sim.injectFault(fault);
+                sim.propagate();
+            }
+
+            constexpr int kLevels = 4;
+            std::vector<PatternSim::Checkpoint> marks;
+            std::vector<Sources> at_mark;
+            Sources cur = base;
+            for (int level = 0; level < kLevels; ++level) {
+                marks.push_back(sim.checkpoint());
+                at_mark.push_back(cur);
+                cur = perturb(cur);
+                applySources(sim, cur);
+                sim.propagate();
+                ASSERT_EQ(snapshot(sim), reference(cur)) << "level " << level;
+            }
+            for (int level = kLevels - 1; level >= 0; --level) {
+                const auto k = static_cast<std::size_t>(level);
+                sim.rollback(marks[k]);
+                ASSERT_EQ(snapshot(sim), reference(at_mark[k])) << "rollback to " << level;
+                EXPECT_EQ(sim.propagate(), 0u) << "rollback left work at " << level;
+                applySources(sim, perturb(at_mark[k]));
+                sim.propagate();
+                sim.rollback(marks[k]);
+                ASSERT_EQ(snapshot(sim), reference(at_mark[k])) << "second rollback to " << level;
+            }
+            sim.clearFault();
+            EXPECT_EQ(snapshot(sim), good);
+        }
+    }
+}
+
 TEST(PatternSim, ResetClearsFaultState) {
     // Regression: a net-fault restore value recorded before reset() must not
     // leak into a clearFault() issued after the reset.
