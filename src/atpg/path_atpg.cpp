@@ -74,9 +74,12 @@ PathAtpgResult generatePathDelayTests(const Netlist& nl, std::span<const DelayPa
                         break;
                     }
                     case TestApplication::Broadside: {
+                        // V1's capture must produce V2's specified state
+                        // bits; the filled ones are free.
                         std::vector<std::pair<NetId, Logic>> v1_obj;
                         for (std::size_t i = 0; i < ffs.size(); ++i)
-                            v1_obj.push_back({nl.gate(ffs[i]).inputs[0], v2f.state[i]});
+                            if (v2.state[i] != Logic::X)
+                                v1_obj.push_back({nl.gate(ffs[i]).inputs[0], v2.state[i]});
                         v1_obj.push_back({path.nets[0], v1_value});
                         podem.clearFrozen();
                         Pattern v1;

@@ -17,10 +17,12 @@
 // top-off over the faults it left undetected. The top-off can run on
 // several threads (TransitionAtpgConfig::threads): workers speculatively
 // run each fault's fill-independent searches (PODEM's V2 and, for enhanced
-// scan and broadside, V1's justification) a bounded window ahead, while
-// the calling thread commits them in fault order — every counter, random
-// fill, skewed-load justification and grading decision — and prepares
-// faults itself while the next one in order is still being searched.
+// scan and broadside, V1's justification) up to eight faults per worker
+// ahead of the last commit, so one aborting fault does not idle the pool,
+// while the calling thread commits them in fault order — every counter,
+// random fill, skewed-load justification and grading decision — and
+// prepares faults itself while the next one in order is still being
+// searched.
 // Podem resets fully on every call and the RNG is drawn only at commit, so
 // test sets, counters and detected_mask are bit-identical for every
 // thread count.

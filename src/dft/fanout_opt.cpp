@@ -48,8 +48,10 @@ FanoutOptResult optimizeFanout(Netlist& nl, const FanoutOptConfig& cfg) {
 
     FanoutOptResult res;
     res.first_level_before = nl.uniqueFirstLevelGates().size();
-    // STA is a pure function of the netlist: re-time only after a move.
-    TimingResult sta = runSta(nl);
+    // STA is a pure function of the netlist: re-time only after a move, and
+    // then only what the move changed.
+    IncrementalSta timer(nl);
+    const TimingResult& sta = timer.result();
     c_retimes.add();
     res.delay_before_ps = sta.critical_delay_ps;
 
@@ -152,7 +154,10 @@ FanoutOptResult optimizeFanout(Netlist& nl, const FanoutOptConfig& cfg) {
 
         res.inverters_added += static_cast<std::size_t>(added_inv);
         ++res.ffs_optimized;
-        sta = runSta(nl);
+        // q, stage 1's output and stage 2's output changed receivers; the
+        // new inverters drive the last two.
+        const NetId touched[] = {q, stage1_out, stage2_out};
+        timer.retime(touched);
         c_retimes.add();
     }
 

@@ -14,10 +14,13 @@
 // ("maximum circuit delay is kept unaltered").
 //
 // Cost: the FF order is fixed once, by receiver count on the input netlist.
-// STA runs once up front and again only after an accepted move; a rejected
-// FF leaves the netlist, and so its timing, unchanged. A run therefore costs
-// ffs_optimized + 1 STA passes (counter `dft.fanout_opt.retimes`), and the
-// last one gives delay_after_ps.
+// STA runs once up front, in full; a rejected FF leaves the netlist, and so
+// its timing, unchanged. An accepted move is re-timed by IncrementalSta from
+// the three nets it changed (q, stage 1's and stage 2's outputs), and the
+// netlist keeps its fanout lists across the edits, so a move costs what it
+// changed (counter `sta.retimed_gates`), not a pass over the netlist. A run
+// re-times ffs_optimized + 1 times (counter `dft.fanout_opt.retimes`), and
+// the last one gives delay_after_ps.
 #pragma once
 
 #include "cell/dft_cells.hpp"

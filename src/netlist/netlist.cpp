@@ -8,6 +8,15 @@
 
 namespace flh {
 
+namespace {
+
+/// The order buildFanout gives every fanout list: by gate, then by pin.
+bool canonicalLess(const PinRef& a, const PinRef& b) noexcept {
+    return a.gate != b.gate ? a.gate < b.gate : a.pin < b.pin;
+}
+
+} // namespace
+
 Netlist::Netlist(std::string name, const Library& lib) : name_(std::move(name)), lib_(&lib) {}
 
 NetId Netlist::addNet(const std::string& name) {
@@ -15,7 +24,8 @@ NetId Netlist::addNet(const std::string& name) {
     const NetId id = static_cast<NetId>(nets_.size());
     nets_.push_back(Net{name, kInvalidId, false});
     by_name_.emplace(name, id);
-    invalidateCaches();
+    // A new net has no receivers and changes no gate's inputs.
+    if (fanout_valid_) fanout_.emplace_back();
     return id;
 }
 
@@ -48,7 +58,11 @@ GateId Netlist::addGate(CellFn fn, const std::vector<NetId>& inputs, NetId outpu
     gates_.push_back(Gate{cell, fn, inputs, output});
     nets_[output].driver = id;
     if (isSequential(fn)) ffs_.push_back(id);
-    invalidateCaches();
+    // The new gate has the highest id, so its pins go last on each list.
+    if (fanout_valid_)
+        for (int pin = 0; pin < static_cast<int>(inputs.size()); ++pin)
+            fanout_[inputs[static_cast<std::size_t>(pin)]].push_back(PinRef{id, pin});
+    topo_valid_ = false;
     return id;
 }
 
@@ -57,8 +71,16 @@ GateId Netlist::addDff(NetId d, NetId q) { return addGate(CellFn::Dff, {d}, q); 
 void Netlist::rewireInput(GateId gate, int pin, NetId net) {
     Gate& g = gates_.at(gate);
     if (net >= nets_.size()) throw std::out_of_range("rewireInput: bad net");
-    g.inputs.at(static_cast<std::size_t>(pin)) = net;
-    invalidateCaches();
+    NetId& slot = g.inputs.at(static_cast<std::size_t>(pin));
+    if (fanout_valid_) {
+        const PinRef ref{gate, pin};
+        std::vector<PinRef>& from = fanout_[slot];
+        from.erase(std::find(from.begin(), from.end(), ref));
+        std::vector<PinRef>& to = fanout_[net];
+        to.insert(std::lower_bound(to.begin(), to.end(), ref, canonicalLess), ref);
+    }
+    slot = net;
+    topo_valid_ = false;
 }
 
 void Netlist::replaceGate(GateId g, CellFn fn, const std::vector<NetId>& inputs) {
@@ -98,13 +120,15 @@ const std::vector<PinRef>& Netlist::fanout(NetId net) const {
 }
 
 void Netlist::buildFanout() const {
-    // Count first so every list is allocated once, at its exact size. The
-    // old lists are freed before the new ones are allocated, which keeps
-    // the heap compact across the many rebuilds of optimizeFanout.
+    // Count first so every list is allocated once, at its exact size, and
+    // free the old lists (and any capacity addNet's growth left) before.
+    // Each list comes out in canonical order (gate, then pin), which addGate
+    // and rewireInput preserve.
     std::vector<std::uint32_t> count(nets_.size(), 0);
     for (const Gate& gate : gates_)
         for (const NetId in : gate.inputs) ++count[in];
-    fanout_.assign(nets_.size(), {});
+    std::vector<std::vector<PinRef>>().swap(fanout_);
+    fanout_.resize(nets_.size());
     for (NetId n = 0; n < nets_.size(); ++n) fanout_[n].reserve(count[n]);
     for (GateId g = 0; g < gates_.size(); ++g) {
         const Gate& gate = gates_[g];

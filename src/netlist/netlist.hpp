@@ -50,6 +50,9 @@ public:
     [[nodiscard]] const Library& library() const noexcept { return *lib_; }
 
     // ---- construction -------------------------------------------------
+    // addNet, addGate and rewireInput keep already-built fanout lists
+    // current (and in canonical order); addGate and rewireInput mark the
+    // topological order and levels for a lazy rebuild.
     NetId addNet(const std::string& name);
     NetId addPi(const std::string& name);
     void markPo(NetId net);
@@ -60,13 +63,13 @@ public:
     /// Add a D flip-flop (Q = output net, D = input net).
     GateId addDff(NetId d, NetId q);
 
-    /// Rewire input pin `pin` of `gate` to `net`. Invalidates caches.
-    /// Throws std::out_of_range on a bad gate, pin or net.
+    /// Rewire input pin `pin` of `gate` to `net`. Moves the pin between the
+    /// two fanout lists in place. Throws std::out_of_range on a bad gate, pin or net.
     void rewireInput(GateId gate, int pin, NetId net);
 
     /// Replace gate `g` with a new function and input list, keeping its
     /// output net (used by scan insertion: DFF -> SDFF). The sequential /
-    /// combinational status of the gate must not change.
+    /// combinational status of the gate must not change. Invalidates caches.
     void replaceGate(GateId g, CellFn fn, const std::vector<NetId>& inputs);
 
     // ---- access --------------------------------------------------------
@@ -85,7 +88,10 @@ public:
 
     [[nodiscard]] std::optional<NetId> findNet(const std::string& name) const;
 
-    /// Input pins fed by `net` (fanout), rebuilt lazily after edits.
+    /// Input pins fed by `net` (fanout), in canonical order: ascending gate,
+    /// then pin. Built on first use; edits other than replaceGate keep it.
+    /// A reference is invalidated by any later addNet, addGate,
+    /// rewireInput or replaceGate.
     [[nodiscard]] const std::vector<PinRef>& fanout(NetId net) const;
 
     /// Combinational gates in topological order (FF outputs and PIs are
@@ -118,7 +124,7 @@ public:
     /// Structural sanity check; throws std::runtime_error on violations.
     void check() const;
 
-    /// Drop all memoized derived data (called automatically by mutators).
+    /// Drop all memoized derived data (replaceGate calls it).
     void invalidateCaches() const;
 
 private:

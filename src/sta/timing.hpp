@@ -65,6 +65,13 @@ inline constexpr double kIntrinsicStagePs = 1.0;
 
 /// Full-netlist STA. Endpoints are POs and FF D pins; sources are PIs
 /// (arrival 0) and FF Q nets (clk-to-q + any source series delay).
+///
+/// The result is a pure function of the netlist and does not depend on
+/// its topological order: an arrival is the max over the gate's inputs
+/// (the critical path's tie rule, first input wins, depends only on pin
+/// order) and a required time is the min over the net's receivers. That is
+/// what lets IncrementalSta recompute only the values an edit changed and
+/// still match a full pass bit for bit.
 [[nodiscard]] TimingResult runSta(const Netlist& nl, const TimingOverlay& ov = {});
 
 /// STA with a per-gate delay multiplier (indexed by GateId; empty = all 1).
@@ -72,5 +79,42 @@ inline constexpr double kIntrinsicStagePs = 1.0;
 /// gate's nominal delay by its sampled factor.
 [[nodiscard]] TimingResult runSta(const Netlist& nl, const TimingOverlay& ov,
                                   std::span<const double> gate_delay_factor);
+
+/// Keeps runSta(nl) (no overlay) current across local edits of `nl`, at a
+/// cost that follows what an edit changed rather than the netlist's size.
+///
+/// After edits, retime() is given every net whose receivers (load) or
+/// driver changed, including every net created since the last call; each
+/// gate added or rewired since then must drive or read one of them. It
+/// recomputes those nets' drivers and readers, propagates arrivals forward
+/// in level order and required times backward in reverse level order, and
+/// stops wherever a recomputed value is bit-identical to the old one. Gate
+/// levels are kept here, not rebuilt by the netlist: a new gate gets
+/// max(input level) + 1 and increases are pushed forward. If the critical
+/// delay changes, every required time moves with it, so retime() falls
+/// back to a full pass.
+///
+/// Counters: `sta.retimed_gates` (gates whose arrival was recomputed; a
+/// fallback counts every combinational gate), `sta.retime_fallbacks`.
+class IncrementalSta {
+public:
+    /// Runs a full pass. `nl` must outlive this object.
+    explicit IncrementalSta(const Netlist& nl);
+
+    [[nodiscard]] const TimingResult& result() const noexcept { return res_; }
+
+    /// Bring result() up to date after edits; see the class comment for
+    /// what `touched` must contain.
+    void retime(std::span<const NetId> touched);
+
+private:
+    const Netlist* nl_;
+    TimingResult res_;
+    std::vector<int> level_; ///< per gate: comb gates > every input's driver
+    std::vector<char> queued_; ///< per gate / per net scratch, all zero between calls
+
+    void fullPass();
+    [[nodiscard]] int netLevel(NetId n) const;
+};
 
 } // namespace flh

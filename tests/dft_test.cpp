@@ -327,7 +327,8 @@ struct PinnedFanoutOpt {
 
 TEST(FanoutOpt, OptimizedNetlistIsStable) {
     // Re-timing shortcuts must not change which FFs are rebuffered or
-    // which pins move. Recorded before STA was skipped for rejected FFs.
+    // which pins move. Recorded before STA was skipped for rejected FFs;
+    // the s9234 and s13207 rows before moves were re-timed incrementally.
     const PinnedFanoutOpt pinned[] = {
         {"s298", 0x7fba5443794a2e39ULL, 9, 13, 35, 21,
          0x1.6fbeb851eb852p+9, 0x1.62b1eb851eb86p+9},
@@ -337,6 +338,10 @@ TEST(FanoutOpt, OptimizedNetlistIsStable) {
          0x1.d11a666666666p+11, 0x1.cc5547ae147aep+11},
         {"s5378", 0x34cac35613f8a887ULL, 23, 45, 204, 177,
          0x1.21f0f5c28f5c4p+11, 0x1.21f0f5c28f5c4p+11},
+        {"s9234", 0x2edc970bd7771002ULL, 62, 117, 317, 230,
+         0x1.7bb87ae147ae2p+11, 0x1.7bb87ae147ae2p+11},
+        {"s13207", 0xe8a7e3c7e1768df4ULL, 226, 414, 1021, 715,
+         0x1.d5cc8f5c28f5dp+12, 0x1.d5cc8f5c28f5dp+12},
     };
     for (const PinnedFanoutOpt& p : pinned) {
         Netlist nl = scanned(p.circuit);

@@ -4,6 +4,7 @@
 #include "dft/fanout_opt.hpp"
 #include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
@@ -374,6 +375,48 @@ TEST(Netlist, NetCapGrowsWithFanout) {
     nl.addGate(CellFn::Inv, {a}, y2);
     nl.markPo(y2);
     EXPECT_GT(nl.netCapFf(a), one);
+}
+
+TEST(Netlist, FanoutStaysCanonicalAcrossEdits) {
+    // addNet, addGate and rewireInput update built fanout lists in place;
+    // every list must equal the one a rebuild gives (gate, then pin), since
+    // netCapFf sums loads in that order.
+    Netlist nl = makeCircuit("s298", lib());
+    insertScan(nl);
+    (void)nl.fanout(0);
+    Rng rng(5);
+    const auto pickNet = [&] { return static_cast<NetId>(rng.below(nl.netCount())); };
+    int seq = 0;
+    for (int step = 0; step < 400; ++step) {
+        std::string op;
+        switch (rng.below(3)) {
+            case 0:
+                op = "addNet";
+                (void)nl.addNet("e" + std::to_string(seq++));
+                break;
+            case 1: {
+                op = "addGate";
+                std::vector<NetId> ins = {pickNet()};
+                if (rng.chance(0.5)) ins.push_back(ins.front()); // one net on two pins
+                if (rng.chance(0.5)) ins.push_back(pickNet());
+                const NetId out = nl.addNet("e" + std::to_string(seq++));
+                (void)nl.addGate(ins.size() == 1 ? CellFn::Inv : CellFn::And, ins, out);
+                break;
+            }
+            default: {
+                op = "rewireInput";
+                const GateId g = static_cast<GateId>(rng.below(nl.gateCount()));
+                const int pin = static_cast<int>(rng.below(nl.gate(g).inputs.size()));
+                nl.rewireInput(g, pin, pickNet());
+                break;
+            }
+        }
+        Netlist rebuilt = nl;
+        rebuilt.invalidateCaches();
+        for (NetId n = 0; n < nl.netCount(); ++n)
+            ASSERT_EQ(nl.fanout(n), rebuilt.fanout(n))
+                << "step " << step << " (" << op << "), net " << nl.net(n).name;
+    }
 }
 
 TEST(Netlist, NetCapMatchesCellFormula) {

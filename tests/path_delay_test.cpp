@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace flh {
 namespace {
@@ -151,21 +152,24 @@ TEST(PathSensitization, TestsPathRejectsShortPatterns) {
 class PathAtpgStyles : public ::testing::TestWithParam<TestApplication> {};
 
 TEST_P(PathAtpgStyles, GeneratedTestsValidateAndRespectConstraints) {
-    // s838 at a 120 ps window gives enhanced-scan and skewed-load tests, so
-    // the checks below run. Broadside gets none here, nor on any registry
-    // circuit through s1423 at 40-400 ps windows: its V1 justification asks
-    // for V2's whole random-filled state at the flip-flop inputs.
-    const Netlist nl = scanned("s838");
-    const auto paths = enumerateCriticalPaths(nl, {}, 120.0, 40);
-    ASSERT_FALSE(paths.empty());
-    const PathAtpgResult r = generatePathDelayTests(nl, paths, GetParam());
-    EXPECT_EQ(r.attempted, 2 * paths.size());
-    if (GetParam() != TestApplication::Broadside) {
-        ASSERT_FALSE(r.tests.empty());
-    }
-    for (const auto& [fault, tp] : r.tests) {
-        EXPECT_TRUE(testsPath(nl, fault, tp));
-        EXPECT_TRUE(isValidPair(nl, GetParam(), tp));
+    // At a 120 ps window s27 gives tests in every style and s838 in
+    // enhanced scan and skewed load, so the checks below run. Broadside
+    // gets none on s838: the capture cannot produce the 11-13 specified
+    // state bits its enhanced-scan-testable paths need (PODEM proves that
+    // or aborts at 100000 backtracks).
+    for (const char* name : {"s27", "s838"}) {
+        const Netlist nl = scanned(name);
+        const auto paths = enumerateCriticalPaths(nl, {}, 120.0, 40);
+        ASSERT_FALSE(paths.empty()) << name;
+        const PathAtpgResult r = generatePathDelayTests(nl, paths, GetParam());
+        EXPECT_EQ(r.attempted, 2 * paths.size()) << name;
+        if (GetParam() != TestApplication::Broadside || std::string(name) == "s27") {
+            ASSERT_FALSE(r.tests.empty()) << name;
+        }
+        for (const auto& [fault, tp] : r.tests) {
+            EXPECT_TRUE(testsPath(nl, fault, tp)) << name;
+            EXPECT_TRUE(isValidPair(nl, GetParam(), tp)) << name;
+        }
     }
 }
 
@@ -189,6 +193,19 @@ TEST(PathAtpg, ArbitraryPairsCoverMoreCriticalPaths) {
     EXPECT_GE(enh.tested, brd.tested);
     EXPECT_GE(enh.tested, skw.tested);
     EXPECT_GT(enh.tested, 0u);
+}
+
+TEST(PathAtpg, BroadsideJustifiesOnlyV2CareBits) {
+    // s27's three flip-flops leave broadside's capture little to constrain:
+    // once V1 is asked only for V2's specified state bits, every path pair
+    // that enhanced scan tests at a 120 ps window gets a broadside test too.
+    const Netlist nl = scanned("s27");
+    const auto paths = enumerateCriticalPaths(nl, {}, 120.0, 40);
+    const auto enh = generatePathDelayTests(nl, paths, TestApplication::EnhancedScan);
+    const auto brd = generatePathDelayTests(nl, paths, TestApplication::Broadside);
+    EXPECT_GT(brd.tested, 0u);
+    EXPECT_EQ(brd.tested, enh.tested);
+    EXPECT_EQ(brd.justify_failed, 0u);
 }
 
 TEST(PathAtpg, CombinationalCircuitGetsTests) {

@@ -1,7 +1,12 @@
+#include "dft/scan.hpp"
 #include "iscas/circuits.hpp"
+#include "obs/telemetry.hpp"
 #include "sta/timing.hpp"
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 namespace flh {
 namespace {
@@ -110,6 +115,109 @@ TEST(Sta, OffCriticalAdderDoesNotMoveDelay) {
     TimingOverlay ov;
     ov.gate_delay_adder_ps[short_gate] = 5.0;
     EXPECT_NEAR(runSta(nl, ov).critical_delay_ps, base.critical_delay_ps, 1e-9);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The incremental result must equal a fresh full pass bit for bit.
+void expectMatchesFullSta(const Netlist& nl, const IncrementalSta& timer, const std::string& when) {
+    const TimingResult full = runSta(nl);
+    const TimingResult& inc = timer.result();
+    ASSERT_EQ(inc.arrival_ps.size(), full.arrival_ps.size()) << when;
+    ASSERT_EQ(inc.required_ps.size(), full.required_ps.size()) << when;
+    EXPECT_EQ(bits(inc.critical_delay_ps), bits(full.critical_delay_ps)) << when;
+    EXPECT_EQ(inc.critical_levels, full.critical_levels) << when;
+    EXPECT_EQ(inc.critical_path, full.critical_path) << when;
+    for (NetId n = 0; n < nl.netCount(); ++n) {
+        ASSERT_EQ(bits(inc.arrival_ps[n]), bits(full.arrival_ps[n]))
+            << when << ": arrival of " << nl.net(n).name;
+        ASSERT_EQ(bits(inc.required_ps[n]), bits(full.required_ps[n]))
+            << when << ": required time of " << nl.net(n).name;
+    }
+}
+
+/// Combinational (gate, pin) readers of `net`.
+std::vector<PinRef> combReaders(const Netlist& nl, NetId net) {
+    std::vector<PinRef> out;
+    for (const PinRef& pr : nl.fanout(net))
+        if (!isSequential(nl.gate(pr.gate).fn)) out.push_back(pr);
+    return out;
+}
+
+TEST(Sta, IncrementalRetimeMatchesFullSta) {
+    // The edits optimizeFanout makes, and one it never makes (a receiver
+    // moved onto a primary input, whose arrival cannot change), on every
+    // registry circuit; then a pair inserted on the critical path, which
+    // moves the critical delay and so takes the full-pass fallback.
+    std::vector<std::string> names = {"s27"};
+    for (const CircuitSpec& spec : paperCircuits()) names.push_back(spec.name);
+    for (const std::string& name : names) {
+        Netlist nl = makeCircuit(name, lib());
+        insertScan(nl);
+        IncrementalSta timer(nl);
+        const NetId pi = nl.pis().front();
+        int seq = 0;
+        const auto fresh = [&] { return nl.addNet("inc" + std::to_string(seq++)); };
+        int edits = 0;
+        for (const GateId ff : nl.flipFlops()) {
+            if (edits >= 4) break;
+            const NetId q = nl.gate(ff).output;
+            const std::vector<PinRef> readers = combReaders(nl, q);
+            if (readers.empty()) continue;
+            ++edits;
+            const std::string at = name + " FF " + nl.net(q).name;
+
+            // A new inverter pair takes every third reader.
+            const NetId a = fresh();
+            nl.addGate(CellFn::Inv, {q}, a);
+            const NetId b = fresh();
+            nl.addGate(CellFn::Inv, {a}, b);
+            for (std::size_t i = 0; i < readers.size(); i += 3)
+                nl.rewireInput(readers[i].gate, readers[i].pin, b);
+            const NetId pair[] = {q, a, b};
+            timer.retime(pair);
+            expectMatchesFullSta(nl, timer, at + ": new pair");
+
+            // A second stage on the existing inverter takes one more reader.
+            if (readers.size() < 2) continue;
+            const NetId c = fresh();
+            nl.addGate(CellFn::Inv, {a}, c);
+            nl.rewireInput(readers[1].gate, readers[1].pin, c);
+            const NetId reuse[] = {q, a, c};
+            timer.retime(reuse);
+            expectMatchesFullSta(nl, timer, at + ": reused inverter");
+
+            // Another reader moves to a primary input.
+            if (readers.size() < 3) continue;
+            nl.rewireInput(readers[2].gate, readers[2].pin, pi);
+            const NetId moved[] = {q, pi};
+            timer.retime(moved);
+            expectMatchesFullSta(nl, timer, at + ": reader moved to a PI");
+        }
+        EXPECT_GT(edits, 0) << name;
+
+        // Delay the critical path's first gate by an inverter pair.
+        const std::vector<NetId> path = timer.result().critical_path;
+        ASSERT_GE(path.size(), 2u) << name;
+        const double before = timer.result().critical_delay_ps;
+        const GateId first = nl.net(path[1]).driver;
+        const NetId a = fresh();
+        nl.addGate(CellFn::Inv, {path[0]}, a);
+        const NetId b = fresh();
+        nl.addGate(CellFn::Inv, {a}, b);
+        const auto& ins = nl.gate(first).inputs;
+        for (std::size_t p = 0; p < ins.size(); ++p)
+            if (ins[p] == path[0]) nl.rewireInput(first, static_cast<int>(p), b);
+        obs::reset();
+        obs::setEnabled(true);
+        const NetId crit[] = {path[0], a, b};
+        timer.retime(crit);
+        obs::setEnabled(false);
+        EXPECT_GT(timer.result().critical_delay_ps, before) << name;
+        EXPECT_EQ(obs::counter("sta.retime_fallbacks").value(), 1u) << name;
+        obs::reset();
+        expectMatchesFullSta(nl, timer, name + ": critical path delayed");
+    }
 }
 
 } // namespace
