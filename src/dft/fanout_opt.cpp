@@ -4,6 +4,7 @@
 #include "sta/timing.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -160,6 +161,14 @@ FanoutOptResult optimizeFanout(Netlist& nl, const FanoutOptConfig& cfg) {
         timer.retime(touched);
         c_retimes.add();
     }
+
+    // Every decision above read the re-timer's slacks, so it must end where
+    // a full pass over the final netlist does; a net left out of `touched`
+    // shows here as a stale arrival or required time.
+#ifndef NDEBUG
+    const TimingResult fresh = runSta(nl);
+    assert(fresh.arrival_ps == sta.arrival_ps && fresh.required_ps == sta.required_ps);
+#endif
 
     nl.check();
     res.first_level_after = nl.uniqueFirstLevelGates().size();

@@ -25,29 +25,23 @@ std::vector<PV> randomPv(std::size_t n, Rng& rng) {
     return v;
 }
 
-// 64-bit mask with each bit set independently with probability p.
-std::uint64_t bernoulliMask(Rng& rng, double p) {
-    if (p >= 1.0) return ~0ULL;
-    if (p <= 0.0) return 0;
-    std::uint64_t m = 0;
-    for (int i = 0; i < 64; ++i)
-        if (rng.chance(p)) m |= 1ULL << i;
-    return m;
-}
-
 } // namespace
 
 SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg) {
     Rng rng(cfg.seed);
 
+    // Settling is a full sweep, not propagate(): with 64 independent slots
+    // most gates see an input change every settle, where a level-order
+    // sweep is cheaper per evaluation than queueing events, and it settles
+    // the same values with the same toggles (PatternSim::evalAll).
     SequentialSim seq(nl);
+    PatternSim& sim = seq.sim();
     std::vector<PV> state = randomPv(nl.flipFlops().size(), rng);
     std::vector<PV> pis = randomPv(nl.pis().size(), rng);
     seq.setState(state);
     seq.setPis(pis);
-    seq.settle();
+    sim.evalAll();
 
-    PatternSim& sim = seq.sim();
     sim.enableToggleCount(true);
     sim.clearToggleCounts();
 
@@ -55,20 +49,20 @@ SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg) {
     // simulated vector yields 64 sampled vectors. PI bits toggle with
     // pi_toggle_prob; FFs hold with ff_hold_prob (enable-gated registers).
     for (int v = 0; v < cfg.n_vectors; ++v) {
-        for (PV& p : pis) p.v ^= bernoulliMask(rng, cfg.pi_toggle_prob);
+        for (PV& p : pis) p.v ^= rng.bernoulliMask(cfg.pi_toggle_prob);
         seq.setPis(pis);
-        seq.settle();
+        sim.evalAll();
         std::vector<PV> next = state;
         const auto& ffs = nl.flipFlops();
         for (std::size_t i = 0; i < ffs.size(); ++i) {
             const PV d = sim.get(nl.gate(ffs[i]).inputs[0]);
-            const std::uint64_t hold = bernoulliMask(rng, cfg.ff_hold_prob);
+            const std::uint64_t hold = rng.bernoulliMask(cfg.ff_hold_prob);
             next[i] = PV{(state[i].v & hold) | (d.v & ~hold),
                          (state[i].x & hold) | (d.x & ~hold)};
         }
         state = std::move(next);
         seq.setState(state);
-        seq.settle();
+        sim.evalAll();
     }
 
     return {sim.toggleCounts(), static_cast<double>(cfg.n_vectors) * 64.0};

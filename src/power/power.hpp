@@ -18,6 +18,16 @@
 // leakage, they never change the logic, so one simulation serves every
 // overlay of the same netlist and configuration (evaluateDft accounts the
 // base and the DFT overlay from one activity record).
+//
+// Cost: simulateSwitching is 2 * n_vectors + 1 full sweeps of the one-word
+// simulator (PatternSim::evalAll) plus 64 Bernoulli draws per primary input
+// and flip-flop per vector. It is nearly all of a Tables I-IV evaluation:
+// on s13207 at its workload one simulation takes about 55 ms, 40 of them
+// sweeps and 9 hold masks (Release, 4-vCPU shared VM), against about 85 ms
+// when each settle queued events. A circuit whose activity stays low
+// loses instead: at the default rates an input change reaches about 30% of
+// s298's gates per settle, so the sweep costs it some 30 us more per
+// simulation.
 #pragma once
 
 #include "netlist/netlist.hpp"

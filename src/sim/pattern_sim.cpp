@@ -83,7 +83,7 @@ void PatternSim::forceStuckW(const std::uint64_t* in, std::uint64_t* out) const 
 }
 
 template <unsigned kW>
-void PatternSim::applyValueW(NetId net, const std::uint64_t* planes) {
+bool PatternSim::writeW(NetId net, const std::uint64_t* planes) {
     const unsigned W = kW ? kW : words_;
     std::uint64_t forced[2 * kMaxPackedWords];
     if (net == stuck_net_) {
@@ -93,7 +93,7 @@ void PatternSim::applyValueW(NetId net, const std::uint64_t* planes) {
     std::uint64_t* cur = &planes_[static_cast<std::size_t>(net) * 2 * W];
     std::uint64_t delta = 0;
     for (unsigned k = 0; k < 2 * W; ++k) delta |= cur[k] ^ planes[k];
-    if (!delta) return;
+    if (!delta) return false;
     if (logged_in_[net] != epoch_) { // first write since the open checkpoint
         logged_in_[net] = epoch_;
         undo_nets_.push_back(net);
@@ -111,7 +111,7 @@ void PatternSim::applyValueW(NetId net, const std::uint64_t* planes) {
         toggles_[net] += flips;
     }
     std::memcpy(cur, planes, 2 * W * sizeof(std::uint64_t));
-    scheduleFanout(net);
+    return true;
 }
 
 void PatternSim::applyValue(NetId net, const std::uint64_t* planes) {
@@ -139,18 +139,40 @@ PV PatternSim::get(NetId net, unsigned word) const {
 }
 
 template <unsigned kW>
+void PatternSim::evalGateW(const SimTables& t, GateId g, [[maybe_unused]] BlockKernelFn kernel,
+                           std::uint64_t* out) const {
+    const unsigned W = kW ? kW : words_;
+    const std::uint64_t* in_v[kMaxGateArity]; // arity checked by SimTables
+    const std::uint64_t* in_x[kMaxGateArity];
+    std::uint64_t pin[2 * kMaxPackedWords];
+    const std::span<const NetId> inputs = t.inputs(g);
+    const std::size_t arity = inputs.size();
+    for (std::size_t p = 0; p < arity; ++p) {
+        const std::uint64_t* n = &planes_[static_cast<std::size_t>(inputs[p]) * 2 * W];
+        in_v[p] = n;
+        in_x[p] = n + W;
+    }
+    if (g == stuck_gate_) { // pin checked against the arity by injectFault
+        const auto p = static_cast<std::size_t>(fault_.pin);
+        forceStuckW<kW>(in_v[p], pin);
+        in_v[p] = pin;
+        in_x[p] = pin + W;
+    }
+    if constexpr (kW == 1)
+        detail::evalBlockT<detail::ScalarBatch>(t.fn[g], in_v, in_x, arity, out, out + 1, 0, 1);
+    else
+        kernel(t.fn[g], in_v, in_x, arity, out, out + W, W);
+}
+
+template <unsigned kW>
 std::size_t PatternSim::propagateW() {
     const SimTables& t = *t_;
-    const unsigned W = kW ? kW : words_;
     // Resolve the SIMD kernel once per pass; per-gate dispatch through the
     // table is measurable at fault-cone sizes (a few gates per grading). At
     // one word every kernel runs its scalar tail, so that instance calls the
     // scalar batch inline instead.
-    [[maybe_unused]] const BlockKernelFn kernel = kW == 1 ? nullptr : activeBlockKernel();
-    const std::uint64_t* in_v[kMaxGateArity]; // arity checked by SimTables
-    const std::uint64_t* in_x[kMaxGateArity];
+    const BlockKernelFn kernel = kW == 1 ? nullptr : activeBlockKernel();
     std::uint64_t out[2 * kMaxPackedWords];
-    std::uint64_t pin[2 * kMaxPackedWords];
     std::size_t evals = 0;
     for (std::size_t lvl = static_cast<std::size_t>(min_pending_level_);
          lvl < queue_by_level_.size(); ++lvl) {
@@ -160,25 +182,8 @@ std::size_t PatternSim::propagateW() {
         for (std::size_t i = 0; i < q.size(); ++i) {
             const GateId g = q[i];
             scheduled_[g] = 0;
-            const std::span<const NetId> inputs = t.inputs(g);
-            const std::size_t arity = inputs.size();
-            for (std::size_t p = 0; p < arity; ++p) {
-                const std::uint64_t* n = &planes_[static_cast<std::size_t>(inputs[p]) * 2 * W];
-                in_v[p] = n;
-                in_x[p] = n + W;
-            }
-            if (g == stuck_gate_) { // pin checked against the arity by injectFault
-                const auto p = static_cast<std::size_t>(fault_.pin);
-                forceStuckW<kW>(in_v[p], pin);
-                in_v[p] = pin;
-                in_x[p] = pin + W;
-            }
             ++evals;
-            if constexpr (kW == 1)
-                detail::evalBlockT<detail::ScalarBatch>(t.fn[g], in_v, in_x, arity, out, out + 1,
-                                                        0, 1);
-            else
-                kernel(t.fn[g], in_v, in_x, arity, out, out + W, W);
+            evalGateW<kW>(t, g, kernel, out);
             applyValueW<kW>(t.out[g], out);
         }
         q.clear();
@@ -189,9 +194,38 @@ std::size_t PatternSim::propagateW() {
 
 std::size_t PatternSim::propagate() { return words_ == 1 ? propagateW<1>() : propagateW<0>(); }
 
+void PatternSim::dropPending() noexcept {
+    for (std::size_t lvl = static_cast<std::size_t>(min_pending_level_);
+         lvl < queue_by_level_.size(); ++lvl) {
+        for (const GateId g : queue_by_level_[lvl])
+            scheduled_[g] = static_cast<std::uint8_t>(scheduled_[g] & ~kQueued);
+        queue_by_level_[lvl].clear();
+    }
+    min_pending_level_ = static_cast<int>(queue_by_level_.size());
+}
+
+template <unsigned kW>
+std::size_t PatternSim::sweepW() {
+    // Level order makes every input final before its reader is evaluated,
+    // so each net is written at most once, with the value propagate() would
+    // settle it to; writing no fanout events is what makes a sweep cheaper
+    // per evaluation than the event path when most gates are active.
+    const SimTables& t = *t_;
+    const BlockKernelFn kernel = kW == 1 ? nullptr : activeBlockKernel();
+    std::uint64_t out[2 * kMaxPackedWords];
+    std::size_t evals = 0;
+    for (const GateId g : t.sweep) {
+        if (scheduled_[g]) continue; // held, or outside a restriction
+        ++evals;
+        evalGateW<kW>(t, g, kernel, out);
+        writeW<kW>(t.out[g], out);
+    }
+    return evals;
+}
+
 std::size_t PatternSim::evalAll() {
-    for (const GateId g : t_->nl->topoOrder()) schedule(*t_, g);
-    return propagate();
+    dropPending();
+    return words_ == 1 ? sweepW<1>() : sweepW<0>();
 }
 
 void PatternSim::setHeld(GateId gate, bool held) {

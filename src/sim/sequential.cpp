@@ -16,7 +16,9 @@ const char* toString(HoldStyle s) noexcept {
 }
 
 SequentialSim::SequentialSim(const Netlist& nl, HoldStyle style)
-    : sim_(nl), style_(style), first_level_(nl.uniqueFirstLevelGates()) {
+    : sim_(nl), style_(style) {
+    // Only FLH holds gates; the other styles never read the set.
+    if (style == HoldStyle::Flh) first_level_ = nl.uniqueFirstLevelGates();
     state_.assign(nl.flipFlops().size(), PV::all(Logic::X));
 }
 

@@ -46,6 +46,20 @@ SimTables::SimTables(const Netlist& nl) : nl(&nl) {
     for (GateId g = 0; g < n_gates; ++g)
         for (const NetId in : nl.gate(g).inputs) in_net.push_back(in);
 
+    // Counting sort on (level, fn), ids ascending within a bucket: a
+    // comparison sort here cost more than the rest of the tables together.
+    constexpr std::size_t kFns = static_cast<std::size_t>(CellFn::Sdff) + 1;
+    const auto bucket = [&](GateId g) {
+        return static_cast<std::size_t>(level[g]) * kFns + static_cast<std::size_t>(fn[g]);
+    };
+    std::vector<std::uint32_t> next((static_cast<std::size_t>(depth) + 1) * kFns + 1, 0);
+    for (GateId g = 0; g < n_gates; ++g)
+        if (!sequential[g]) ++next[bucket(g) + 1];
+    for (std::size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+    sweep.resize(next.back());
+    for (GateId g = 0; g < n_gates; ++g)
+        if (!sequential[g]) sweep[next[bucket(g)]++] = g;
+
     const auto& ffs = nl.flipFlops();
     sources.assign(nl.pis().begin(), nl.pis().end());
     observed.assign(nl.pos().begin(), nl.pos().end());

@@ -5,9 +5,10 @@
 // (Gate::inputs) and per net (fanout lists) on every event. SimTables
 // copies what the hot paths read — per-net fanout gates, per-gate level,
 // function, output net and input nets — into contiguous CSR arrays, once
-// per netlist. Simulators hold the tables through a shared_ptr, so the two
-// machines of a transition grader or the PODEM instances of a parallel
-// top-off share one copy instead of building their own.
+// per netlist, together with the order of a full sweep (PatternSim::evalAll).
+// Simulators hold the tables through a shared_ptr, so the two machines of a
+// transition grader or the PODEM instances of a parallel top-off share one
+// copy instead of building their own.
 //
 // The tables also own the full-scan view of the paper's test protocol
 // (scan in PIs + state, launch, capture POs + flip-flop D inputs): `sources`
@@ -58,6 +59,12 @@ struct SimTables {
     /// the per-event path never asks whether a gate is sequential.
     std::vector<std::uint8_t> sequential;
     int depth = 0; ///< Netlist::logicDepth()
+    /// Every combinational gate, by level, then by CellFn within a level
+    /// (then by id): the order of PatternSim::evalAll's sweep. Gates of one
+    /// level read only lower levels, so any order within a level settles
+    /// the same values; grouping by function keeps the kernel's switch on
+    /// one case for long runs.
+    std::vector<GateId> sweep;
     /// PI nets, then flip-flop Q nets: where Pattern::pis + Pattern::state go.
     std::vector<NetId> sources;
     /// PO nets, then flip-flop D nets: the capture order of a response.

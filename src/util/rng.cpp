@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <cassert>
+#include <cmath>
 
 namespace flh {
 
@@ -14,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -26,18 +23,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
     // Avoid the all-zero state (cannot occur from splitmix64 in practice,
     // but the generator's one forbidden state costs one branch to exclude).
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() noexcept {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
@@ -62,6 +47,21 @@ double Rng::uniform() noexcept {
 
 bool Rng::chance(double p) noexcept {
     return uniform() < p;
+}
+
+std::uint64_t Rng::bernoulliMask(double p) noexcept {
+    if (p >= 1.0) return ~0ULL;
+    if (p <= 0.0) return 0;
+    // chance(p) is (next() >> 11) * 2^-53 < p. Scaling both sides by 2^53
+    // is exact (the draw is below 2^53, ldexp only moves the exponent), and
+    // an integer k is below x exactly when it is below ceil(x). A NaN p
+    // gives threshold 0, failing every trial like chance(NaN).
+    const double x = std::ceil(std::ldexp(p, 53));
+    const std::uint64_t threshold = x > 0.0 ? static_cast<std::uint64_t>(x) : 0;
+    std::uint64_t m = 0;
+    for (unsigned i = 0; i < 64; ++i)
+        m |= static_cast<std::uint64_t>((next() >> 11) < threshold) << i;
+    return m;
 }
 
 std::size_t Rng::weighted(const std::vector<double>& weights) noexcept {

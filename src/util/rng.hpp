@@ -5,6 +5,7 @@
 // reproduces the same circuits, vectors, and therefore the same tables.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -19,7 +20,17 @@ public:
     explicit Rng(std::uint64_t seed) noexcept;
 
     /// Uniform 64-bit value.
-    std::uint64_t next() noexcept;
+    std::uint64_t next() noexcept {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /// Uniform value in [0, bound). bound must be > 0.
     std::uint64_t below(std::uint64_t bound) noexcept;
@@ -32,6 +43,12 @@ public:
 
     /// Bernoulli trial with probability p of returning true.
     bool chance(double p) noexcept;
+
+    /// 64 Bernoulli trials as a mask. For p in (0, 1), bit i is the result
+    /// of the i-th of 64 chance(p) calls, and the generator ends in the same
+    /// state as after them; p <= 0 gives 0 and p >= 1 gives ~0 without
+    /// drawing.
+    std::uint64_t bernoulliMask(double p) noexcept;
 
     /// Fisher-Yates shuffle.
     template <typename T>

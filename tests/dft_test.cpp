@@ -28,6 +28,16 @@ Netlist scanned(const std::string& name) {
     return nl;
 }
 
+/// FNV-1a over a string.
+std::uint64_t fnv1a(const std::string& s) {
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
 TEST(ScanInsertion, ReplacesAllFfsAndStitchesChain) {
     Netlist nl = makeCircuit("s298", lib());
     const std::size_t n_ffs = nl.flipFlops().size();
@@ -239,6 +249,45 @@ TEST(DftDesign, EvaluationIsStable) {
     }
 }
 
+TEST(DftDesign, SwitchingActivityIsStable) {
+    // The pins above stop at s1423, whose flip-flops hold at most 0.3 of the
+    // time; these circuits hold 0.5-0.85, so most of their random draws are
+    // hold masks. FNV-1a over the per-net toggle counts (each count's eight
+    // bytes, least significant first) at the spec configuration. Recorded
+    // before each settle became one level-order sweep.
+    const struct {
+        const char* circuit;
+        std::uint64_t digest;
+        std::uint64_t total;
+    } pinned[] = {
+        {"s5378", 0x3a7a0dace97a01f2ULL, 2459079},
+        {"s9234", 0x1362334957d09054ULL, 4259765},
+        {"s13207", 0x6c1f630c49265247ULL, 3641377},
+    };
+    for (const auto& p : pinned) {
+        const Netlist nl = scanned(p.circuit);
+        const CircuitSpec& spec = findCircuit(p.circuit);
+        PowerConfig pc;
+        pc.ff_hold_prob = spec.ff_hold_prob;
+        pc.pi_toggle_prob = spec.piToggleProb();
+        const SwitchingActivity a = simulateSwitching(nl, pc);
+        std::string bytes;
+        std::uint64_t total = 0;
+        for (const std::uint64_t t : a.toggles) {
+            for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<char>(t >> (8 * b)));
+            total += t;
+        }
+        const std::uint64_t digest = fnv1a(bytes);
+        char got[96];
+        std::snprintf(got, sizeof got, "{\"%s\", 0x%016llxULL, %llu}", p.circuit,
+                      static_cast<unsigned long long>(digest),
+                      static_cast<unsigned long long>(total));
+        EXPECT_EQ(digest, p.digest) << got;
+        EXPECT_EQ(total, p.total) << got;
+        EXPECT_EQ(a.sampled_cycles, 100.0 * 64.0) << got;
+    }
+}
+
 TEST(DftDesign, EvaluateSimulatesSwitchingOnce) {
     // The base and DFT overlays are accounted from one activity record.
     const Netlist nl = scanned("s298");
@@ -302,16 +351,6 @@ TEST(FanoutOpt, NoOpOnLowFanoutCircuit) {
     Netlist nl = scanned("s386"); // ratio 1.0: nothing to merge
     const FanoutOptResult r = optimizeFanout(nl);
     EXPECT_EQ(r.first_level_after, r.first_level_before);
-}
-
-/// FNV-1a over a string.
-std::uint64_t fnv1a(const std::string& s) {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
 }
 
 struct PinnedFanoutOpt {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace flh {
 namespace {
 
@@ -129,6 +132,83 @@ TEST(PatternSim, EventDrivenSkipsUnaffectedLogic) {
     const std::size_t partial = sim.propagate();
     EXPECT_GT(partial, 0u);
     EXPECT_LT(partial, full);
+}
+
+/// Combinational gates in the transitive fanin of `nets`, stopping at
+/// flip-flops and primary inputs: a set closed under fanin.
+std::vector<GateId> faninCone(const Netlist& nl, std::vector<NetId> nets) {
+    std::vector<char> seen(nl.gateCount(), 0);
+    std::vector<GateId> cone;
+    while (!nets.empty()) {
+        const GateId g = nl.net(nets.back()).driver;
+        nets.pop_back();
+        if (g == kInvalidId || seen[g] || isSequential(nl.gate(g).fn)) continue;
+        seen[g] = 1;
+        cone.push_back(g);
+        for (const NetId in : nl.gate(g).inputs) nets.push_back(in);
+    }
+    return cone;
+}
+
+TEST(PatternSim, EvalAllMatchesPropagate) {
+    // evalAll's sweep against the event path, each on its own simulator fed
+    // the same stimuli with events queued: identical planes and toggle
+    // counts, one evaluation per free gate, and nothing left pending.
+    const Netlist nl = makeCircuit("s641", lib());
+    const std::size_t n_comb = nl.topoOrder().size();
+    const std::vector<GateId> first_level = nl.uniqueFirstLevelGates();
+    const std::vector<GateId> cone =
+        faninCone(nl, {nl.pos()[0], nl.pos()[1], nl.gate(nl.flipFlops()[0]).inputs[0]});
+    ASSERT_GT(cone.size(), 0u);
+    ASSERT_LT(cone.size(), n_comb);
+    for (const unsigned W : kWidths) {
+        for (const bool restricted : {false, true}) {
+            const std::string at = "W " + std::to_string(W) + (restricted ? " restricted" : "");
+            PatternSim sweep(nl, W);
+            PatternSim events(nl, W);
+            if (restricted) {
+                sweep.restrictTo(cone);
+                events.restrictTo(cone);
+            }
+            const std::size_t n_free = restricted ? cone.size() : n_comb;
+            sweep.enableToggleCount(true);
+            events.enableToggleCount(true);
+            Rng rng(606 + W);
+            const auto step = [&](const Sources& src, std::size_t want_evals,
+                                  const std::string& what) {
+                applySources(sweep, src);
+                applySources(events, src);
+                EXPECT_EQ(sweep.evalAll(), want_evals) << at << " " << what;
+                events.propagate();
+                EXPECT_EQ(sweep.propagate(), 0u) << at << " " << what << ": events left queued";
+                EXPECT_EQ(snapshot(sweep), snapshot(events)) << at << " " << what;
+                EXPECT_EQ(sweep.toggleCounts(), events.toggleCounts()) << at << " " << what;
+            };
+            for (int round = 0; round < 3; ++round)
+                step(randomSources(nl, rng, W, round == 1), n_free, "round " + std::to_string(round));
+
+            // FLH holding: held gates keep their outputs through new
+            // sources and are not evaluated; released, they catch up.
+            std::size_t n_held = 0;
+            for (const GateId g : first_level) {
+                sweep.setHeld(g, true);
+                events.setHeld(g, true);
+                if (!restricted || std::find(cone.begin(), cone.end(), g) != cone.end()) ++n_held;
+            }
+            const Sources held_src = randomSources(nl, rng, W);
+            step(held_src, n_free - n_held, "held");
+            step(flipped(held_src), n_free - n_held, "held, flipped");
+            for (const GateId g : first_level) {
+                sweep.setHeld(g, false);
+                events.setHeld(g, false);
+            }
+            EXPECT_EQ(sweep.evalAll(), n_free) << at << " released";
+            events.propagate();
+            EXPECT_EQ(snapshot(sweep), snapshot(events)) << at << " released";
+            EXPECT_EQ(sweep.toggleCounts(), events.toggleCounts()) << at << " released";
+            EXPECT_GT(sweep.totalToggles(), 0u) << at;
+        }
+    }
 }
 
 TEST(PatternSim, HeldGateFreezesOutput) {

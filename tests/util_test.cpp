@@ -180,6 +180,31 @@ TEST(Rng, ChanceExtremes) {
     }
 }
 
+TEST(Rng, BernoulliMaskMatchesChance) {
+    // Bit for bit the mask of 64 chance(p) draws, and the same generator
+    // state afterwards, at the extremes of (0, 1) and at rates with and
+    // without an exact 53-bit threshold.
+    for (const double p : {0x1.0p-53, 0.1, 0.3, 1.0 / 3.0, 0.85, 1.0 - 0x1.0p-53}) {
+        for (const std::uint64_t seed : {1ULL, 99ULL, 2024ULL}) {
+            Rng mask_rng(seed), chance_rng(seed);
+            for (int round = 0; round < 200; ++round) {
+                std::uint64_t want = 0;
+                for (int i = 0; i < 64; ++i)
+                    if (chance_rng.chance(p)) want |= 1ULL << i;
+                ASSERT_EQ(mask_rng.bernoulliMask(p), want) << "p " << p << " round " << round;
+            }
+            EXPECT_EQ(mask_rng.next(), chance_rng.next()) << "p " << p;
+        }
+    }
+    // Out of (0, 1) the mask is constant and draws nothing.
+    Rng r(5), untouched(5);
+    EXPECT_EQ(r.bernoulliMask(0.0), 0u);
+    EXPECT_EQ(r.bernoulliMask(-1.0), 0u);
+    EXPECT_EQ(r.bernoulliMask(1.0), ~0ULL);
+    EXPECT_EQ(r.bernoulliMask(2.0), ~0ULL);
+    EXPECT_EQ(r.next(), untouched.next());
+}
+
 TEST(Rng, ShufflePreservesElements) {
     Rng r(9);
     std::vector<int> v(50);
