@@ -246,7 +246,8 @@ void BM_NDetectProfileThreads(benchmark::State& state) {
                             static_cast<int64_t>(faults.size()));
 }
 // The s5378 hardware-threads row is in the CI filter: it covers n-detect
-// grading and how evenly the fault stripes load the workers. The workers do
+// grading and how evenly the fault stripes load the workers. So is the
+// s1423 one-thread row, which runs the same grading inline, with no pool. The workers do
 // the grading, so iterations are sized by wall time: the calling thread's
 // CPU time is a small fraction of it and would run each rep ~30x too long.
 BENCHMARK(BM_NDetectProfileThreads)

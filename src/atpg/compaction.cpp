@@ -6,15 +6,34 @@ namespace flh {
 
 namespace {
 
-/// Shared reverse-order greedy pass.
-template <typename Test, typename DetectFn>
-CompactionStats compact(std::vector<Test>& tests, std::size_t n_faults, DetectFn detects_new) {
+/// One test graded alone.
+FaultSimResult gradeAlone(const Netlist& nl, const Pattern& p,
+                          std::span<const FaultSite> faults) {
+    return runStuckAtFaultSim(nl, {&p, 1}, faults);
+}
+
+FaultSimResult gradeAlone(const Netlist& nl, const TwoPattern& t,
+                          std::span<const TransitionFault> faults) {
+    return runTransitionFaultSim(nl, {&t, 1}, faults);
+}
+
+/// Shared reverse-order greedy pass: a test is kept iff, graded alone, it
+/// detects a fault that no later kept test detects.
+template <typename Test, typename Fault>
+CompactionStats compact(const Netlist& nl, std::vector<Test>& tests,
+                        std::span<const Fault> faults) {
     CompactionStats stats;
     stats.before = tests.size();
-    std::vector<bool> covered(n_faults, false);
+    std::vector<bool> covered(faults.size(), false);
     std::vector<bool> keep(tests.size(), false);
     for (std::size_t i = tests.size(); i-- > 0;) {
-        if (detects_new(tests[i], covered)) keep[i] = true;
+        const FaultSimResult r = gradeAlone(nl, tests[i], faults);
+        for (std::size_t f = 0; f < faults.size(); ++f) {
+            if (r.detected_mask[f] && !covered[f]) {
+                covered[f] = true;
+                keep[i] = true;
+            }
+        }
     }
     std::vector<Test> kept;
     kept.reserve(tests.size());
@@ -22,8 +41,7 @@ CompactionStats compact(std::vector<Test>& tests, std::size_t n_faults, DetectFn
         if (keep[i]) kept.push_back(std::move(tests[i]));
     tests = std::move(kept);
     stats.after = tests.size();
-    for (const bool c : covered)
-        if (c) ++stats.detected;
+    stats.detected = static_cast<std::size_t>(std::count(covered.begin(), covered.end(), true));
     return stats;
 }
 
@@ -31,34 +49,12 @@ CompactionStats compact(std::vector<Test>& tests, std::size_t n_faults, DetectFn
 
 CompactionStats compactStuckAtTests(const Netlist& nl, std::vector<Pattern>& patterns,
                                     std::span<const FaultSite> faults) {
-    return compact(patterns, faults.size(), [&](const Pattern& p, std::vector<bool>& covered) {
-        const Pattern one[1] = {p};
-        const FaultSimResult r = runStuckAtFaultSim(nl, one, faults);
-        bool fresh = false;
-        for (std::size_t f = 0; f < faults.size(); ++f) {
-            if (r.detected_mask[f] && !covered[f]) {
-                covered[f] = true;
-                fresh = true;
-            }
-        }
-        return fresh;
-    });
+    return compact(nl, patterns, faults);
 }
 
 CompactionStats compactTransitionTests(const Netlist& nl, std::vector<TwoPattern>& tests,
                                        std::span<const TransitionFault> faults) {
-    return compact(tests, faults.size(), [&](const TwoPattern& t, std::vector<bool>& covered) {
-        const TwoPattern one[1] = {t};
-        const FaultSimResult r = runTransitionFaultSim(nl, one, faults);
-        bool fresh = false;
-        for (std::size_t f = 0; f < faults.size(); ++f) {
-            if (r.detected_mask[f] && !covered[f]) {
-                covered[f] = true;
-                fresh = true;
-            }
-        }
-        return fresh;
-    });
+    return compact(nl, tests, faults);
 }
 
 } // namespace flh

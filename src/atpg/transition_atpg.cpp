@@ -241,16 +241,13 @@ bool TopOff::tryAddTest(std::size_t fi, const TwoPattern& tp) {
     // Adjacent open faults on one net share a grading call; a fault list
     // that keeps a net's two polarities together (allTransitionFaults
     // does) keeps them adjacent here, since the open list is ascending.
-    const std::size_t n_open = open_idx_.size();
-    hit_.resize(n_open);
-    for (std::size_t j = 0; j < n_open;) {
-        const std::size_t end =
-            j + 1 < n_open && open_faults_[j + 1].net == open_faults_[j].net ? j + 2 : j + 1;
-        const unsigned found =
-            grader_.grade(std::span(open_faults_).subspan(j, end - j), &valid, hit);
-        for (std::size_t k = j; k < end; ++k) hit_[k] = (found >> (k - j)) & 1;
-        j = end;
-    }
+    const std::span<const TransitionFault> open(open_faults_);
+    hit_.resize(open.size());
+    forEachNetGroup(open, 0, open.size(), TransitionGrader::kMaxGroup,
+                    [](std::size_t) { return true; }, [&](std::size_t b, std::size_t e) {
+                        const unsigned found = grader_.grade(open.subspan(b, e - b), &valid, hit);
+                        for (std::size_t k = b; k < e; ++k) hit_[k] = (found >> (k - b)) & 1;
+                    });
     std::size_t kept = 0;
     {
         const std::lock_guard lock(mu_);

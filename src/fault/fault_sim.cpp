@@ -1,6 +1,5 @@
 #include "fault/fault_sim.hpp"
 
-#include "fault/parallel_sim.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -119,22 +118,6 @@ bool isValidPair(const Netlist& nl, TestApplication style, const TwoPattern& tp)
         }
     }
     return false;
-}
-
-FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pats,
-                                  std::span<const FaultSite> faults) {
-    return runStuckAtFaultSim(nl, pats, faults, FaultSimOptions{});
-}
-
-FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPattern> tests,
-                                     std::span<const TransitionFault> faults) {
-    return runTransitionFaultSim(nl, tests, faults, FaultSimOptions{});
-}
-
-std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
-                                                   std::span<const TwoPattern> tests,
-                                                   std::span<const TransitionFault> faults) {
-    return countTransitionDetections(nl, tests, faults, FaultSimOptions{});
 }
 
 } // namespace flh

@@ -3,7 +3,7 @@
 // Patterns are packed FaultSimOptions::words x 64 per simulator pass (the
 // event-driven PatternSim of sim/pattern_sim.hpp at that width, evaluated by
 // the runtime-dispatched SIMD kernel; words = 0 selects the reference
-// grader, one word with a full observation-snapshot compare); each candidate
+// graders, one word with a full observation-snapshot compare); each candidate
 // fault is then injected and its cone re-propagated event-driven, comparing
 // the observation points (primary outputs + flip-flop D inputs — the
 // full-scan capture view) against the good machine. Every width produces
@@ -18,6 +18,7 @@
 #pragma once
 
 #include "fault/faults.hpp"
+#include "util/exec_policy.hpp"
 
 #include <span>
 #include <vector>
@@ -93,22 +94,58 @@ void loadPattern(PatternSim& sim, const Pattern& p);
 /// scan accepts anything).
 [[nodiscard]] bool isValidPair(const Netlist& nl, TestApplication style, const TwoPattern& tp);
 
-/// Stuck-at fault simulation over a pattern set. Runs on the engine in
-/// fault/parallel_sim.hpp with the default (single-threaded) options.
-[[nodiscard]] FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pats,
-                                                std::span<const FaultSite> faults);
+/// Tuning knobs for the fault-simulation engine (fault/parallel_sim.hpp).
+/// Worker counts resolve through the one ExecPolicy::resolveThreads
+/// implementation (util/exec_policy.hpp).
+struct FaultSimOptions {
+    /// Worker threads. 1 = run inline on the calling thread (no spawn);
+    /// 0 = one worker per hardware thread.
+    unsigned threads = 1;
 
-/// Transition fault simulation over two-pattern tests (same engine).
+    /// Pool shrink floor: never spawn more workers than
+    /// n_faults / min_faults_per_worker — below that the per-worker
+    /// good-machine loads and thread startup dominate the grading work.
+    /// 0 disables the floor.
+    std::size_t min_faults_per_worker = 64;
+
+    /// 64-bit words per packed-simulation block: each propagation pass
+    /// grades words x 64 patterns (kMaxPackedWords max). 0 selects the
+    /// reference graders (one word, full observation-snapshot compare); any
+    /// width produces bit-identical results. Values above
+    /// ceil(n_patterns / 64) are clamped, so the default never slows down
+    /// single-batch runs (e.g. ATPG grading one test at a time).
+    unsigned words = 4;
+
+    /// Effective worker count for an `n_faults`-sized fault list. Always
+    /// >= 1, even for threads = 0 on hardware that reports no concurrency
+    /// or for min_faults_per_worker = 0.
+    [[nodiscard]] unsigned resolveThreads(std::size_t n_faults) const noexcept {
+        return ExecPolicy{threads, min_faults_per_worker}.resolveThreads(n_faults);
+    }
+};
+
+/// Stuck-at fault simulation over a pattern set, with fault dropping, on the
+/// engine of fault/parallel_sim.hpp (serial by default). Like the two
+/// transition calls below, throws std::invalid_argument at every width
+/// unless each pattern has one value per PI and per flip-flop.
+[[nodiscard]] FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pats,
+                                                std::span<const FaultSite> faults,
+                                                const FaultSimOptions& opts = {});
+
+/// Transition fault simulation over two-pattern tests, with fault dropping
+/// (same engine).
 [[nodiscard]] FaultSimResult runTransitionFaultSim(const Netlist& nl,
                                                    std::span<const TwoPattern> tests,
-                                                   std::span<const TransitionFault> faults);
+                                                   std::span<const TransitionFault> faults,
+                                                   const FaultSimOptions& opts = {});
 
 /// N-detect profile: how many of the tests detect each fault (no fault
 /// dropping). Higher multiplicity means the fault is exercised through more
 /// distinct paths — the standard proxy for small-delay-defect quality.
-/// Batched 64 tests per pass on shared simulators (same engine).
+/// Counted a block at a time by popcount of each fault's hit masks (same
+/// engine).
 [[nodiscard]] std::vector<std::size_t> countTransitionDetections(
     const Netlist& nl, std::span<const TwoPattern> tests,
-    std::span<const TransitionFault> faults);
+    std::span<const TransitionFault> faults, const FaultSimOptions& opts = {});
 
 } // namespace flh

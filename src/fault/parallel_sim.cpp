@@ -14,87 +14,9 @@ namespace flh {
 
 namespace {
 
-/// The reference grader's loader: up to 64 patterns into the simulator
-/// (slot i = `at(i)`), one slot at a time; missing slots repeat the last
-/// pattern so they never create spurious detections (their detection bits
-/// are masked off by `valid`). `at(i)` returns the block's pattern i,
-/// i < count: a stuck-at pattern or one half of a two-pattern test, read in
-/// place. It derives the source nets from the Netlist itself, independent
-/// of SimTables::sources, because the packed engine is tested against it.
-template <class PatternAt>
-void loadPatterns(PatternSim& sim, std::size_t count, const PatternAt& at) {
-    const Netlist& nl = sim.netlist();
-    const auto& pis = nl.pis();
-    const auto& ffs = nl.flipFlops();
-    for (std::size_t k = 0; k < pis.size(); ++k) {
-        PV v;
-        for (unsigned slot = 0; slot < 64; ++slot)
-            v.set(slot, at(std::min<std::size_t>(slot, count - 1)).pis.at(k));
-        sim.setNet(pis[k], v);
-    }
-    for (std::size_t k = 0; k < ffs.size(); ++k) {
-        PV v;
-        for (unsigned slot = 0; slot < 64; ++slot)
-            v.set(slot, at(std::min<std::size_t>(slot, count - 1)).state.at(k));
-        sim.setNet(nl.gate(ffs[k]).output, v);
-    }
-    sim.propagate();
-}
-
-/// Observation snapshot (SimTables::observed) into a reusable buffer.
-void observeInto(const PatternSim& sim, std::vector<PV>& out) {
-    out.clear();
-    for (const NetId n : sim.tables()->observed) out.push_back(sim.get(n));
-}
-
-/// Slots where any observation point definitely differs.
-std::uint64_t diffMask(const std::vector<PV>& good, const std::vector<PV>& faulty) {
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < good.size(); ++i)
-        m |= (good[i].v ^ faulty[i].v) & ~good[i].x & ~faulty[i].x;
-    return m;
-}
-
-std::uint64_t validMask(std::size_t count) {
-    return count == 64 ? ~0ULL : ((1ULL << count) - 1);
-}
-
-/// One detection bit per fault, shared by every worker. Bits move only
-/// 0 -> 1 and each is written under the single-fault independence
-/// assumption, so relaxed ordering suffices; the final read-out happens
-/// after the pool joins, which synchronizes everything.
-class DetectedBitmap {
-public:
-    explicit DetectedBitmap(std::size_t bits) : bits_(bits), words_((bits + 63) / 64) {}
-
-    [[nodiscard]] bool test(std::size_t i) const noexcept {
-        return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1;
-    }
-    void set(std::size_t i) noexcept {
-        words_[i >> 6].fetch_or(1ULL << (i & 63), std::memory_order_relaxed);
-    }
-
-    /// The run's verdict, one mask bit per fault; read after the pool joins.
-    [[nodiscard]] FaultSimResult result() const {
-        FaultSimResult res;
-        res.total = bits_;
-        res.detected_mask.assign(bits_, false);
-        for (std::size_t fi = 0; fi < bits_; ++fi)
-            if (test(fi)) {
-                res.detected_mask[fi] = true;
-                ++res.detected;
-            }
-        return res;
-    }
-
-private:
-    std::size_t bits_;
-    std::vector<std::atomic<std::uint64_t>> words_;
-};
-
-/// Telemetry hooks shared by the three grading engines. Counter lookups
-/// happen once per process (static refs); workers accumulate locally and
-/// flush once per stripe so the enabled path adds no per-fault atomics.
+/// Telemetry hooks of the block driver. Counter lookups happen once per
+/// process (static refs); workers accumulate locally and flush once per
+/// stripe so the enabled path adds no per-fault atomics.
 struct SimTelemetry {
     obs::Counter& graded = obs::counter("fault_sim.faults_graded");
     obs::Counter& detected = obs::counter("fault_sim.faults_detected");
@@ -128,7 +50,7 @@ struct WorkerTally {
 
 /// Faults per stripe chunk. Even, so a net's slow-to-rise / slow-to-fall
 /// pair (adjacent in allTransitionFaults) never straddles two chunks; 64, so
-/// each chunk owns whole words of the DetectedBitmap.
+/// each chunk owns whole words of the drop sink's bitmap.
 constexpr std::size_t kStripeChunk = 64;
 
 /// One worker's share of a fault list of `n`: chunks w, w + t, w + 2t, ...
@@ -195,8 +117,6 @@ void runStriped(const char* engine, std::size_t n, unsigned t, const Fn& work) {
         if (e) std::rethrow_exception(e);
 }
 
-// ---- packed (word-parallel) engine helpers -------------------------------
-
 /// Effective packed width for a run: 0 keeps the reference grader;
 /// otherwise clamp to the words the pattern count actually fills, so small
 /// runs (ATPG grading one test at a time) never propagate unused words.
@@ -238,6 +158,13 @@ void loadPatternsPacked(PatternSim& sim, std::size_t count, const PatternAt& at)
     sim.propagate();
 }
 
+/// Valid-slot mask of word `w` in a block of `count` patterns.
+std::uint64_t validMaskWord(std::size_t count, unsigned w) {
+    const std::size_t lo = 64ULL * w;
+    if (count <= lo) return 0;
+    return count - lo >= 64 ? ~0ULL : ((1ULL << (count - lo)) - 1);
+}
+
 /// The loaders read patterns unchecked, so every grading entry point checks
 /// the shapes first: each width then rejects a malformed pattern alike.
 void checkShapes(const Netlist& nl, std::span<const Pattern> pats, const char* who) {
@@ -265,151 +192,289 @@ auto halfOf(std::span<const TwoPattern> tests, std::size_t base, bool first) {
     };
 }
 
-/// Valid-slot mask of word `w` in a block of `count` patterns.
-std::uint64_t validMaskWord(std::size_t count, unsigned w) {
-    const std::size_t lo = 64ULL * w;
-    if (count <= lo) return 0;
-    return validMask(std::min<std::size_t>(count - lo, 64));
+/// The reference grader's loader: up to 64 patterns into the simulator
+/// (slot i = `at(i)`), one slot at a time; missing slots repeat the last
+/// pattern so they never create spurious detections (their detection bits
+/// are masked off by `valid`). `at(i)` returns the block's pattern i,
+/// i < count: a stuck-at pattern or one half of a two-pattern test, read in
+/// place. It derives the source nets from the Netlist itself, independent
+/// of SimTables::sources, because the packed engine is tested against it.
+template <class PatternAt>
+void loadPatterns(PatternSim& sim, std::size_t count, const PatternAt& at) {
+    const Netlist& nl = sim.netlist();
+    const auto& pis = nl.pis();
+    const auto& ffs = nl.flipFlops();
+    for (std::size_t k = 0; k < pis.size(); ++k) {
+        PV v;
+        for (unsigned slot = 0; slot < 64; ++slot)
+            v.set(slot, at(std::min<std::size_t>(slot, count - 1)).pis.at(k));
+        sim.setNet(pis[k], v);
+    }
+    for (std::size_t k = 0; k < ffs.size(); ++k) {
+        PV v;
+        for (unsigned slot = 0; slot < 64; ++slot)
+            v.set(slot, at(std::min<std::size_t>(slot, count - 1)).state.at(k));
+        sim.setNet(nl.gate(ffs[k]).output, v);
+    }
+    sim.propagate();
 }
 
-} // namespace
-
-FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pats,
-                                  std::span<const FaultSite> faults,
-                                  const FaultSimOptions& opts) {
-    checkShapes(nl, pats, "runStuckAtFaultSim");
-    DetectedBitmap det(faults.size());
-    if (pats.empty() || faults.empty()) return det.result();
-
-    // One table set for every worker's simulators. Building it also forces
-    // the Netlist's lazily built fanout/topo caches, so workers only read.
-    const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
-    const unsigned W = effectiveWords(opts.words, pats.size());
-    const unsigned threads = opts.resolveThreads(faults.size());
-    if (W) {
-        runStriped(
-            "stuck_at", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-                PatternSim sim(tables, W);
-                // Detection compares, against the undo log's pre-fault
-                // planes, only the observation points the fault cone touched.
-                const std::uint8_t* is_obs = tables->is_obs.data();
-                std::uint64_t diff[kMaxPackedWords];
-                std::uint64_t validw[kMaxPackedWords];
-                const std::size_t block = 64ULL * W;
-                for (std::size_t base = 0; base < pats.size(); base += block) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(block, pats.size() - base);
-                    for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    loadPatternsPacked(sim, count, patternsFrom(pats, base));
-                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t fi = lo; fi < hi; ++fi) {
-                            if (det.test(fi)) {
-                                ++tally.dropped;
-                                continue;
-                            }
-                            sim.injectFault(faults[fi]);
-                            sim.propagate();
-                            sim.faultDiffOnto(is_obs, diff);
-                            sim.clearFault();
-                            ++tally.graded;
-                            std::uint64_t hit = 0;
-                            for (unsigned w = 0; w < W; ++w) hit |= diff[w] & validw[w];
-                            if (hit) {
-                                det.set(fi);
-                                ++tally.detected;
-                            }
-                        }
-                    });
-                }
-            });
-    } else {
-        runStriped(
-            "stuck_at", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-                PatternSim sim(tables);
-                std::vector<PV> good;
-                std::vector<PV> faulty;
-                for (std::size_t base = 0; base < pats.size(); base += 64) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(64, pats.size() - base);
-                    const std::uint64_t valid = validMask(count);
-                    loadPatterns(sim, count, patternsFrom(pats, base));
-                    observeInto(sim, good);
-                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t fi = lo; fi < hi; ++fi) {
-                            if (det.test(fi)) {
-                                ++tally.dropped;
-                                continue;
-                            }
-                            sim.injectFault(faults[fi]);
-                            sim.propagate();
-                            observeInto(sim, faulty);
-                            const std::uint64_t hit = diffMask(good, faulty) & valid;
-                            sim.clearFault();
-                            ++tally.graded;
-                            if (hit) {
-                                det.set(fi);
-                                ++tally.detected;
-                            }
-                        }
-                    });
-                }
-            });
-    }
-    return det.result();
+/// Observation snapshot (SimTables::observed) into a reusable buffer.
+void observeInto(const PatternSim& sim, std::vector<PV>& out) {
+    out.clear();
+    for (const NetId n : sim.tables()->observed) out.push_back(sim.get(n));
 }
 
-namespace {
+/// Slots where any observation point definitely differs.
+std::uint64_t diffMask(const std::vector<PV>& good, const std::vector<PV>& faulty) {
+    std::uint64_t m = 0;
+    for (std::size_t i = 0; i < good.size(); ++i)
+        m |= (good[i].v ^ faulty[i].v) & ~good[i].x & ~faulty[i].x;
+    return m;
+}
 
-/// The reference grader's transition verdict for one batch of 64 tests:
-/// slots where V1 launches the transition (initial value established at the
-/// site) AND V2 propagates the equivalent stuck-at effect to an observation
-/// point, found by comparing full good and faulty observation snapshots.
-struct TransitionWorkerState {
-    PatternSim sim_v1;
-    PatternSim sim_v2;
-    std::vector<PV> good;
-    std::vector<PV> faulty;
+// ---- graders ---------------------------------------------------------------
+//
+// A grader owns its simulators and grades one block of patterns at a time:
+//   kMaxGroup               most faults one grade() call takes;
+//   words()                 64-bit words per block;
+//   loadBlock(pats, b, n)   load patterns [b, b + n);
+//   grade(group, valid, hit)  fill hit[i * words() + w] with the valid slots
+//                           of word w that detect group[i], and return a bit
+//                           per fault, bit i set iff group[i] is detected.
+// TransitionGrader (parallel_sim.hpp) is the packed transition grader.
 
-    explicit TransitionWorkerState(const std::shared_ptr<const SimTables>& tables)
-        : sim_v1(tables), sim_v2(tables) {}
+/// The packed stuck-at grader: one fault per excursion, its detections read
+/// from the undo log at the observation points the fault cone touched.
+class StuckAtGrader {
+public:
+    static constexpr std::size_t kMaxGroup = 1;
 
-    void loadBatch(std::span<const TwoPattern> tests, std::size_t base, std::size_t count) {
-        loadPatterns(sim_v1, count, halfOf(tests, base, true));
-        loadPatterns(sim_v2, count, halfOf(tests, base, false));
-        observeInto(sim_v2, good);
+    StuckAtGrader(std::shared_ptr<const SimTables> tables, unsigned words)
+        : sim_(std::move(tables), words) {}
+
+    [[nodiscard]] unsigned words() const noexcept { return sim_.words(); }
+
+    void loadBlock(std::span<const Pattern> pats, std::size_t base, std::size_t count) {
+        loadPatternsPacked(sim_, count, patternsFrom(pats, base));
     }
 
-    [[nodiscard]] std::uint64_t launchMask(const TransitionFault& tf) const {
-        const PV at_site = sim_v1.get(tf.net);
+    unsigned grade(std::span<const FaultSite> group, const std::uint64_t* valid,
+                   std::uint64_t* hit) {
+        sim_.injectFault(group.front());
+        sim_.propagate();
+        sim_.faultDiffOnto(sim_.tables()->is_obs.data(), hit);
+        sim_.clearFault();
+        std::uint64_t any = 0;
+        for (unsigned w = 0; w < sim_.words(); ++w) any |= hit[w] &= valid[w];
+        return any != 0;
+    }
+
+private:
+    PatternSim sim_;
+};
+
+/// The reference stuck-at grader: blocks of one word from the slot-by-slot
+/// loader, and detection by comparing the full good and faulty observation
+/// snapshots.
+class StuckAtReference {
+public:
+    static constexpr std::size_t kMaxGroup = 1;
+
+    explicit StuckAtReference(std::shared_ptr<const SimTables> tables) : sim_(std::move(tables)) {}
+
+    [[nodiscard]] static unsigned words() noexcept { return 1; }
+
+    /// Load `count` patterns, pattern i = `at(i)`, and snapshot the good
+    /// machine's observation points.
+    template <class PatternAt>
+    void load(std::size_t count, const PatternAt& at) {
+        loadPatterns(sim_, count, at);
+        observeInto(sim_, good_);
+    }
+
+    void loadBlock(std::span<const Pattern> pats, std::size_t base, std::size_t count) {
+        load(count, patternsFrom(pats, base));
+    }
+
+    unsigned grade(std::span<const FaultSite> group, const std::uint64_t* valid,
+                   std::uint64_t* hit) {
+        sim_.injectFault(group.front());
+        sim_.propagate();
+        observeInto(sim_, faulty_);
+        hit[0] = diffMask(good_, faulty_) & valid[0];
+        sim_.clearFault();
+        return hit[0] != 0;
+    }
+
+private:
+    PatternSim sim_;
+    std::vector<PV> good_;
+    std::vector<PV> faulty_;
+};
+
+/// The reference transition grader: slots where V1 launches the transition
+/// (initial value established at the site) AND V2 detects the equivalent
+/// stuck-at fault, graded by the reference stuck-at grader over V2. One
+/// fault per group: each fault gets its own stuck-at excursion.
+class TransitionReference {
+public:
+    static constexpr std::size_t kMaxGroup = 1;
+
+    explicit TransitionReference(const std::shared_ptr<const SimTables>& tables)
+        : v1_(tables), v2_(tables) {}
+
+    [[nodiscard]] static unsigned words() noexcept { return 1; }
+
+    void loadBlock(std::span<const TwoPattern> tests, std::size_t base, std::size_t count) {
+        loadPatterns(v1_, count, halfOf(tests, base, true));
+        v2_.load(count, halfOf(tests, base, false));
+    }
+
+    unsigned grade(std::span<const TransitionFault> group, const std::uint64_t* valid,
+                   std::uint64_t* hit) {
+        const TransitionFault& tf = group.front();
+        const PV at_site = v1_.get(tf.net);
         const std::uint64_t want_one = tf.initialValue() == Logic::One ? ~0ULL : 0;
-        return ~(at_site.v ^ want_one) & ~at_site.x;
+        const std::uint64_t launched = ~(at_site.v ^ want_one) & ~at_site.x & valid[0];
+        if (!launched) {
+            hit[0] = 0;
+            return 0;
+        }
+        const FaultSite sa = tf.equivalentStuckAt();
+        return v2_.grade({&sa, 1}, &launched, hit);
     }
 
-    [[nodiscard]] std::uint64_t detectMask(const TransitionFault& tf, std::uint64_t init_ok,
-                                           std::uint64_t valid) {
-        sim_v2.injectFault(tf.equivalentStuckAt());
-        sim_v2.propagate();
-        observeInto(sim_v2, faulty);
-        const std::uint64_t hit = diffMask(good, faulty) & init_ok & valid;
-        sim_v2.clearFault();
-        return hit;
+private:
+    PatternSim v1_;
+    StuckAtReference v2_;
+};
+
+// ---- sinks -----------------------------------------------------------------
+//
+// A sink takes each graded group's verdict:
+//   closed(i)                      fault i needs no more grading;
+//   take(first, n, found, hit, W)  the verdict of faults [first, first + n);
+//                                  returns how many faults it closed.
+
+/// The drop sink: one detection bit per fault, shared by every worker. A
+/// detected fault's bit is set and the fault closed for later blocks. Bits
+/// move only 0 -> 1 and each is written under the single-fault independence
+/// assumption, so relaxed ordering suffices; the final read-out happens
+/// after the pool joins, which synchronizes everything.
+class DropSink {
+public:
+    explicit DropSink(std::size_t bits) : bits_(bits), words_((bits + 63) / 64) {}
+
+    [[nodiscard]] bool closed(std::size_t i) const noexcept {
+        return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1;
+    }
+
+    /// Take the verdict of the group of `n` faults at `first`: set the bit
+    /// of each fault `found` flags. Returns how many it closed.
+    std::size_t take(std::size_t first, std::size_t n, unsigned found, const std::uint64_t*,
+                     unsigned) noexcept {
+        for (std::size_t k = 0; k < n; ++k)
+            if ((found >> k) & 1)
+                words_[(first + k) >> 6].fetch_or(1ULL << ((first + k) & 63),
+                                                  std::memory_order_relaxed);
+        return static_cast<std::size_t>(std::popcount(found));
+    }
+
+    /// The run's verdict, one mask bit per fault; read after the pool joins.
+    [[nodiscard]] FaultSimResult result() const {
+        FaultSimResult res;
+        res.total = bits_;
+        res.detected_mask.assign(bits_, false);
+        for (std::size_t fi = 0; fi < bits_; ++fi)
+            if (closed(fi)) {
+                res.detected_mask[fi] = true;
+                ++res.detected;
+            }
+        return res;
+    }
+
+private:
+    std::size_t bits_;
+    std::vector<std::atomic<std::uint64_t>> words_;
+};
+
+/// The n-detect sink: adds the popcount of each fault's hit masks to its
+/// count and closes nothing (the profile needs every test). Each worker
+/// writes the disjoint chunks of its stripe, so no synchronization is
+/// needed.
+struct NDetectSink {
+    std::vector<std::size_t> counts;
+
+    [[nodiscard]] static bool closed(std::size_t) noexcept { return false; }
+
+    std::size_t take(std::size_t first, std::size_t n, unsigned found, const std::uint64_t* hit,
+                     unsigned words) {
+        if (!found) return 0;
+        for (std::size_t k = 0; k < n; ++k)
+            for (unsigned w = 0; w < words; ++w)
+                counts[first + k] += static_cast<std::size_t>(std::popcount(hit[k * words + w]));
+        return 0;
     }
 };
 
-/// One past the last fault of the group that starts at `fi` and is graded
-/// by one TransitionGrader::grade call: fault fi + 1 joins when it lies
-/// before `hi`, sits on the same net, and `open(fi + 1)` holds.
-template <class Open>
-std::size_t netGroupEnd(std::span<const TransitionFault> faults, std::size_t fi, std::size_t hi,
-                        const Open& open) {
-    const std::size_t next = fi + 1;
-    return next < hi && faults[next].net == faults[fi].net && open(next) ? next + 1 : next;
+// ---- the block driver --------------------------------------------------------
+
+/// The one grading loop. Each worker of the stripes of `faults` makes its
+/// grader and, for every block of 64 x words() patterns, loads the block and
+/// hands each open fault group of its stripe (forEachNetGroup) to the
+/// grader and the verdict to `sink`. A fault counts as graded when handed
+/// to the grader, as dropped when the sink had closed it, and as detected
+/// when the sink closes it.
+template <class Pat, class Fault, class MakeGrader, class Sink>
+void runBlocks(const char* engine, std::span<const Pat> pats, std::span<const Fault> faults,
+               unsigned threads, const MakeGrader& make_grader, Sink& sink) {
+    using Grader = decltype(make_grader());
+    runStriped(engine, faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
+        Grader grader = make_grader();
+        const unsigned W = grader.words();
+        const std::size_t block = 64ULL * W;
+        const auto open = [&](std::size_t fi) { return !sink.closed(fi); };
+        std::uint64_t valid[kMaxPackedWords];
+        std::uint64_t hit[Grader::kMaxGroup * kMaxPackedWords];
+        for (std::size_t base = 0; base < pats.size(); base += block) {
+            obs::ScopedSpan batch_span(
+                obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
+                "fault_sim.batch");
+            ++tally.batches;
+            const std::size_t count = std::min<std::size_t>(block, pats.size() - base);
+            for (unsigned w = 0; w < W; ++w) valid[w] = validMaskWord(count, w);
+            grader.loadBlock(pats, base, count);
+            stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
+                std::size_t graded = 0;
+                forEachNetGroup(faults, lo, hi, Grader::kMaxGroup, open,
+                                [&](std::size_t b, std::size_t e) {
+                                    const unsigned found =
+                                        grader.grade(faults.subspan(b, e - b), valid, hit);
+                                    tally.detected += sink.take(b, e - b, found, hit, W);
+                                    graded += e - b;
+                                });
+                tally.graded += graded;
+                tally.dropped += hi - lo - graded;
+            });
+        }
+    });
+}
+
+/// Grade `faults` over `pats` into `sink` with the packed grader at the
+/// run's effective width, or the reference grader at words = 0. One table
+/// set serves every worker's graders; building it also forces the Netlist's
+/// lazily built fanout/topo caches, so workers only read.
+template <class Packed, class Reference, class Pat, class Fault, class Sink>
+void gradeInto(Sink& sink, const char* engine, const Netlist& nl, std::span<const Pat> pats,
+               std::span<const Fault> faults, const FaultSimOptions& opts) {
+    if (pats.empty() || faults.empty()) return;
+    const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
+    const unsigned threads = opts.resolveThreads(faults.size());
+    if (const unsigned W = effectiveWords(opts.words, pats.size()))
+        runBlocks(engine, pats, faults, threads, [&] { return Packed(tables, W); }, sink);
+    else
+        runBlocks(engine, pats, faults, threads, [&] { return Reference(tables); }, sink);
 }
 
 } // namespace
@@ -472,86 +537,22 @@ unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
     return found;
 }
 
+FaultSimResult runStuckAtFaultSim(const Netlist& nl, std::span<const Pattern> pats,
+                                  std::span<const FaultSite> faults,
+                                  const FaultSimOptions& opts) {
+    checkShapes(nl, pats, "runStuckAtFaultSim");
+    DropSink sink(faults.size());
+    gradeInto<StuckAtGrader, StuckAtReference>(sink, "stuck_at", nl, pats, faults, opts);
+    return sink.result();
+}
+
 FaultSimResult runTransitionFaultSim(const Netlist& nl, std::span<const TwoPattern> tests,
                                      std::span<const TransitionFault> faults,
                                      const FaultSimOptions& opts) {
     checkShapes(nl, tests, "runTransitionFaultSim");
-    DetectedBitmap det(faults.size());
-    if (tests.empty() || faults.empty()) return det.result();
-
-    // One table set for every worker's simulators. Building it also forces
-    // the Netlist's lazily built fanout/topo caches, so workers only read.
-    const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
-    const unsigned W = effectiveWords(opts.words, tests.size());
-    const unsigned threads = opts.resolveThreads(faults.size());
-    if (W) {
-        runStriped(
-            "transition", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-                TransitionGrader grader(tables, W);
-                std::uint64_t validw[kMaxPackedWords];
-                std::uint64_t hit[TransitionGrader::kMaxGroup * kMaxPackedWords];
-                const std::size_t block = 64ULL * W;
-                const auto open = [&](std::size_t fi) { return !det.test(fi); };
-                for (std::size_t base = 0; base < tests.size(); base += block) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
-                    for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    grader.loadBlock(tests, base, count);
-                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t fi = lo; fi < hi;) {
-                            if (!open(fi)) {
-                                ++tally.dropped;
-                                ++fi;
-                                continue;
-                            }
-                            const std::size_t end = netGroupEnd(faults, fi, hi, open);
-                            const unsigned found =
-                                grader.grade(faults.subspan(fi, end - fi), validw, hit);
-                            tally.graded += end - fi;
-                            for (std::size_t k = 0; k < end - fi; ++k)
-                                if ((found >> k) & 1) {
-                                    det.set(fi + k);
-                                    ++tally.detected;
-                                }
-                            fi = end;
-                        }
-                    });
-                }
-            });
-    } else {
-        runStriped(
-            "transition", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-                TransitionWorkerState ws(tables);
-                for (std::size_t base = 0; base < tests.size(); base += 64) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-                    const std::uint64_t valid = validMask(count);
-                    ws.loadBatch(tests, base, count);
-                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t fi = lo; fi < hi; ++fi) {
-                            if (det.test(fi)) {
-                                ++tally.dropped;
-                                continue;
-                            }
-                            const std::uint64_t init_ok = ws.launchMask(faults[fi]);
-                            if ((init_ok & valid) == 0) continue;
-                            ++tally.graded;
-                            if (ws.detectMask(faults[fi], init_ok, valid)) {
-                                det.set(fi);
-                                ++tally.detected;
-                            }
-                        }
-                    });
-                }
-            });
-    }
-    return det.result();
+    DropSink sink(faults.size());
+    gradeInto<TransitionGrader, TransitionReference>(sink, "transition", nl, tests, faults, opts);
+    return sink.result();
 }
 
 std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
@@ -559,74 +560,9 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
                                                    std::span<const TransitionFault> faults,
                                                    const FaultSimOptions& opts) {
     checkShapes(nl, tests, "countTransitionDetections");
-    std::vector<std::size_t> counts(faults.size(), 0);
-    if (tests.empty() || faults.empty()) return counts;
-
-    // One table set for every worker's simulators. Building it also forces
-    // the Netlist's lazily built fanout/topo caches, so workers only read.
-    const std::shared_ptr<const SimTables> tables = std::make_shared<const SimTables>(nl);
-
-    // No fault dropping (the profile needs every test), and each worker
-    // writes the disjoint chunks of its stripe in `counts`, so no
-    // synchronization is needed.
-    const unsigned W = effectiveWords(opts.words, tests.size());
-    const unsigned threads = opts.resolveThreads(faults.size());
-    if (W) {
-        runStriped(
-            "ndetect", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-                TransitionGrader grader(tables, W);
-                std::uint64_t validw[kMaxPackedWords];
-                std::uint64_t hit[TransitionGrader::kMaxGroup * kMaxPackedWords];
-                const std::size_t block = 64ULL * W;
-                const auto open = [](std::size_t) { return true; };
-                for (std::size_t base = 0; base < tests.size(); base += block) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(block, tests.size() - base);
-                    for (unsigned w = 0; w < W; ++w) validw[w] = validMaskWord(count, w);
-                    grader.loadBlock(tests, base, count);
-                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t fi = lo; fi < hi;) {
-                            const std::size_t end = netGroupEnd(faults, fi, hi, open);
-                            const std::size_t n = end - fi;
-                            if (grader.grade(faults.subspan(fi, n), validw, hit))
-                                for (std::size_t k = 0; k < n; ++k)
-                                    for (unsigned w = 0; w < W; ++w)
-                                        counts[fi + k] += static_cast<std::size_t>(
-                                            std::popcount(hit[k * W + w]));
-                            tally.graded += n;
-                            fi = end;
-                        }
-                    });
-                }
-            });
-    } else {
-        runStriped(
-            "ndetect", faults.size(), threads, [&](const Stripe& stripe, WorkerTally& tally) {
-                TransitionWorkerState ws(tables);
-                for (std::size_t base = 0; base < tests.size(); base += 64) {
-                    obs::ScopedSpan batch_span(
-                        obs::enabled() ? "batch@" + std::to_string(base) : std::string(),
-                        "fault_sim.batch");
-                    ++tally.batches;
-                    const std::size_t count = std::min<std::size_t>(64, tests.size() - base);
-                    const std::uint64_t valid = validMask(count);
-                    ws.loadBatch(tests, base, count);
-                    stripe.forEachChunk([&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t fi = lo; fi < hi; ++fi) {
-                            const std::uint64_t init_ok = ws.launchMask(faults[fi]);
-                            if ((init_ok & valid) == 0) continue;
-                            ++tally.graded;
-                            counts[fi] += static_cast<std::size_t>(
-                                std::popcount(ws.detectMask(faults[fi], init_ok, valid)));
-                        }
-                    });
-                }
-            });
-    }
-    return counts;
+    NDetectSink sink{std::vector<std::size_t>(faults.size(), 0)};
+    gradeInto<TransitionGrader, TransitionReference>(sink, "ndetect", nl, tests, faults, opts);
+    return std::move(sink.counts);
 }
 
 } // namespace flh

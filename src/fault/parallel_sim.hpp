@@ -4,118 +4,77 @@
 // consecutive faults, and worker w of T takes chunks w, w + T, w + 2T, ...
 // (faults with large cones cluster in the list, so round-robin chunks keep
 // the workers evenly loaded where contiguous ranges did not). Each worker
-// owns a private simulator replica (two for two-pattern tests; all replicas
-// of one call share a read-only SimTables) and grades only its stripe,
+// owns a private grader — one or two simulator replicas, all replicas of one
+// call sharing a read-only SimTables — and grades only its stripe,
 // block-major: for every pattern block the worker loads the block, then
-// grades each still-undetected fault of its stripe with one fault
+// grades each still-open fault group of its stripe with one fault
 // excursion — inject, propagate the faulty cone event-driven, compare the
-// observation points, and roll the simulator back through the recorded
-// event frontier (clearFault).
+// observation points, and roll the simulator back (clearFault).
 //
-// Every path runs the one event-driven simulator (sim/pattern_sim.hpp).
-// By default a block is FaultSimOptions::words x 64 patterns, evaluated
-// plane-wise by the runtime-dispatched SIMD kernel (cell/logic_block.hpp),
-// and a fault's detections are read from the simulator's undo log
-// (faultDiffOnto). Transition faults on one net (a slow-to-rise /
-// slow-to-fall pair) share one excursion there: TransitionGrader
-// complements the net in the slots where either fault is activated, which
-// builds each fault's stuck-at faulty machine in its own slots. words = 0
-// selects the reference grader: blocks of one word, stuck-at injection per
-// fault, and detection by comparing full good and faulty observation
-// snapshots, with no undo-log diff. Both produce bit-identical detected
-// masks (the verdict is a pure function of the pattern set). The packed
+// The three entry points of fault/fault_sim.hpp (stuck-at and transition
+// grading with dropping, the n-detect profile) share one block driver in
+// parallel_sim.cpp. It is a template over a grader, which loads a block
+// and grades one fault group, and a sink, which takes each group's
+// verdict. There are four graders:
+//  * packed stuck-at: FaultSimOptions::words x 64 patterns per block,
+//    evaluated plane-wise by the runtime-dispatched SIMD kernel
+//    (cell/logic_block.hpp), detections read from the simulator's undo log
+//    (faultDiffOnto);
+//  * packed transition (TransitionGrader below): a net's slow-to-rise /
+//    slow-to-fall pair shares one excursion that complements the net in the
+//    slots where either fault is activated;
+//  * the reference stuck-at and transition graders (words = 0): blocks of
+//    one word, their own slot-by-slot loader, stuck-at injection per fault,
+//    and detection by comparing full good and faulty observation snapshots,
+//    with no undo-log diff. They share only the driver with the packed
+//    graders, which is what makes them an oracle for them.
+// There are two sinks: dropping sets a fault's bit in a shared detected
+// bitmap and closes it for later blocks; n-detect adds the popcount of a
+// fault's hit masks to its count and closes nothing. Every grader produces
+// bit-identical verdicts (a pure function of the pattern set). The packed
 // width is clamped per run to ceil(n_patterns / 64), so small pattern sets
 // never pay for unused words.
 //
-// Fault dropping is shared through an atomic detected bitmap: a worker sets
-// a fault's bit with a relaxed fetch_or on first detection and skips any
-// fault whose bit is already set. Since faults are independent (single-fault
-// assumption) and each fault's verdict is a pure function of the pattern
-// set, the result is deterministic: every thread count produces the same
-// detected mask, bit-identical to the serial engine (threads = 1 runs the
+// The bitmap is shared through relaxed atomics: a worker sets a fault's
+// bit on first detection and skips any fault whose bit is already set.
+// Since faults are independent (single-fault assumption) and each fault's
+// verdict is a pure function of the pattern set, the result is
+// deterministic: every thread count produces the same detected mask and
+// counts, bit-identical to the serial engine (threads = 1 runs the
 // identical loop inline, with no pool at all).
 #pragma once
 
 #include "fault/fault_sim.hpp"
-#include "util/exec_policy.hpp"
 
 #include <memory>
 
 namespace flh {
 
-/// Tuning knobs for the fault-simulation engine.
-///
-/// The two threading fields are kept as thin, deprecated aliases of the
-/// unified flh::ExecPolicy vocabulary (util/exec_policy.hpp): `threads`
-/// maps to ExecPolicy::threads and `min_faults_per_worker` to
-/// ExecPolicy::min_items_per_worker. New code should build an ExecPolicy
-/// and assign through exec(); resolution always goes through the single
-/// ExecPolicy::resolveThreads implementation.
-struct FaultSimOptions {
-    /// Worker threads. 1 = run inline on the calling thread (no spawn);
-    /// 0 = one worker per hardware thread. Deprecated alias of
-    /// ExecPolicy::threads.
-    unsigned threads = 1;
-
-    /// Pool shrink floor: never spawn more workers than
-    /// n_faults / min_faults_per_worker — below that the per-worker
-    /// good-machine loads and thread startup dominate the grading work.
-    /// 0 disables the floor. Deprecated alias of
-    /// ExecPolicy::min_items_per_worker.
-    std::size_t min_faults_per_worker = 64;
-
-    /// 64-bit words per packed-simulation block: each propagation pass
-    /// grades words x 64 patterns (kMaxPackedWords max). 0 selects the
-    /// reference grader (one word, full observation-snapshot compare); any
-    /// width produces bit-identical detected masks. Values above
-    /// ceil(n_patterns / 64) are clamped, so the default never slows down
-    /// single-batch runs (e.g. ATPG grading one test at a time).
-    unsigned words = 4;
-
-    /// The unified policy view of the knobs above.
-    [[nodiscard]] ExecPolicy exec() const noexcept {
-        return ExecPolicy{threads, min_faults_per_worker};
+/// The one fault-grouping rule of the graders: calls fn(b, e) for each
+/// group [b, e) of the faults in [lo, hi) that `open(i)` accepts. A group
+/// starts at an open fault and takes the next faults, up to `max_group`,
+/// while they are open and on the same net: a net's slow-to-rise /
+/// slow-to-fall pair, kept adjacent by allTransitionFaults, shares one
+/// TransitionGrader::grade call. Closed faults get no call.
+template <class Fault, class Open, class Fn>
+void forEachNetGroup(std::span<const Fault> faults, std::size_t lo, std::size_t hi,
+                     std::size_t max_group, const Open& open, const Fn& fn) {
+    for (std::size_t b = lo; b < hi;) {
+        if (!open(b)) {
+            ++b;
+            continue;
+        }
+        std::size_t e = b + 1;
+        while (e - b < max_group && e < hi && faults[e].net == faults[b].net && open(e)) ++e;
+        fn(b, e);
+        b = e;
     }
+}
 
-    /// Replace both knobs from a policy.
-    void setExec(const ExecPolicy& p) noexcept {
-        threads = p.threads;
-        min_faults_per_worker = p.min_items_per_worker;
-    }
-
-    /// Effective worker count for an `n_faults`-sized fault list. Always
-    /// >= 1, even for threads = 0 on hardware that reports no concurrency
-    /// or for min_faults_per_worker = 0.
-    [[nodiscard]] unsigned resolveThreads(std::size_t n_faults) const noexcept {
-        return exec().resolveThreads(n_faults);
-    }
-};
-
-/// Stuck-at grading with fault dropping, striped across workers. Like the
-/// two transition calls below, throws std::invalid_argument at every width
-/// unless each pattern has one value per PI and per flip-flop.
-[[nodiscard]] FaultSimResult runStuckAtFaultSim(const Netlist& nl,
-                                                std::span<const Pattern> pats,
-                                                std::span<const FaultSite> faults,
-                                                const FaultSimOptions& opts);
-
-/// Transition grading with fault dropping, striped across workers.
-[[nodiscard]] FaultSimResult runTransitionFaultSim(const Netlist& nl,
-                                                   std::span<const TwoPattern> tests,
-                                                   std::span<const TransitionFault> faults,
-                                                   const FaultSimOptions& opts);
-
-/// N-detect profile (no fault dropping): per-test detections are counted
-/// 64 tests at a time via popcount of the batch hit mask, striped across
-/// workers (each writes the disjoint chunks of its stripe in the counts).
-[[nodiscard]] std::vector<std::size_t> countTransitionDetections(
-    const Netlist& nl, std::span<const TwoPattern> tests,
-    std::span<const TransitionFault> faults, const FaultSimOptions& opts);
-
-/// The packed engine's transition grading of one block of tests, kept as an
-/// object: a V1 machine gives the slots that launch each fault's initial
-/// value, a V2 machine the slots that activate it and, after one complement
-/// excursion per net, the slots that observe it. The packed workers of
+/// The packed transition grader of one block of tests, kept as an object: a
+/// V1 machine gives the slots that launch each fault's initial value, a V2
+/// machine the slots that activate it and, after one complement excursion
+/// per net, the slots that observe it. The packed workers of
 /// runTransitionFaultSim and countTransitionDetections each run one; the
 /// transition ATPG top-off keeps one at a single word and reloads it per
 /// candidate test. A reload only re-simulates what the new sources change,

@@ -1,6 +1,7 @@
 #include "flow/engine.hpp"
 
 #include "obs/telemetry.hpp"
+#include "util/exec_policy.hpp"
 #include "util/json.hpp"
 
 #include <algorithm>
@@ -164,7 +165,7 @@ RunReport runFlow(const FlowGraph& graph, std::span<const DesignInput> designs,
 
     // Scheduler width through the unified policy: min_items_per_worker = 1
     // clamps the pool to the task count, threads = 0 resolves to hardware.
-    const unsigned n_workers = opts.schedExec().resolveThreads(n_tasks);
+    const unsigned n_workers = ExecPolicy{opts.threads, 1}.resolveThreads(n_tasks);
     const FlowTelemetry& tel = FlowTelemetry::get();
     tel.queue_depth.set(static_cast<std::int64_t>(ready.size()));
 

@@ -25,7 +25,6 @@
 
 #include "flow/cache.hpp"
 #include "flow/graph.hpp"
-#include "util/exec_policy.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -45,8 +44,7 @@ struct DesignInput {
 
 struct FlowOptions {
     /// Scheduler workers. 1 = run inline on the calling thread;
-    /// 0 = one per hardware thread. Deprecated alias of
-    /// ExecPolicy::threads — resolution goes through schedExec().
+    /// 0 = one per hardware thread.
     unsigned threads = 1;
     /// Inner fault-simulation and ATPG top-off budget handed to each stage.
     unsigned sim_threads = 1;
@@ -55,10 +53,6 @@ struct FlowOptions {
     /// An open cache handle. When set it is used as-is (`cache` is
     /// ignored), so the caller can read the handle's stats() after the run.
     std::shared_ptr<FlowCache> cache_handle;
-
-    /// Unified policy view of the scheduler width. Floor of one task per
-    /// worker: resolveThreads(n_tasks) clamps the pool to the task count.
-    [[nodiscard]] ExecPolicy schedExec() const noexcept { return ExecPolicy{threads, 1}; }
 };
 
 /// Outcome of one (design, stage) task.

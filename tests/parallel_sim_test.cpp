@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace flh {
 namespace {
 
@@ -74,25 +76,6 @@ TEST(FaultSimOptions, ResolveThreadsGuardsDegenerateKnobs) {
     opts.min_faults_per_worker = 1;
     EXPECT_GE(ExecPolicy::hardwareThreads(), 1u);
     EXPECT_EQ(opts.resolveThreads(1u << 20), ExecPolicy::hardwareThreads());
-}
-
-TEST(FaultSimOptions, ExecPolicyViewMirrorsLegacyFields) {
-    // The legacy threads/min_faults_per_worker fields are thin aliases of
-    // the shared ExecPolicy: both views must resolve identically.
-    FaultSimOptions opts;
-    opts.threads = 3;
-    opts.min_faults_per_worker = 10;
-    EXPECT_EQ(opts.exec().threads, 3u);
-    EXPECT_EQ(opts.exec().min_items_per_worker, 10u);
-    for (const std::size_t n : {0u, 5u, 25u, 1000u})
-        EXPECT_EQ(opts.resolveThreads(n), opts.exec().resolveThreads(n)) << n;
-
-    ExecPolicy p;
-    p.threads = 7;
-    p.min_items_per_worker = 2;
-    opts.setExec(p);
-    EXPECT_EQ(opts.threads, 7u);
-    EXPECT_EQ(opts.min_faults_per_worker, 2u);
 }
 
 TEST(ParallelFaultSim, StuckAtDeterministicAcrossThreadCounts) {
@@ -372,6 +355,88 @@ TEST(ParallelFaultSim, StripeRaggedLastChunk) {
 TEST(ParallelFaultSim, StripeMoreThreadsThanChunks) {
     // 2 chunks for 8 requested threads: one worker per chunk, none idle.
     EXPECT_EQ(expectStripedRunsMatchReference(64 + 31, 8), 2u);
+}
+
+/// The four grading counters one call adds.
+struct GradeCounts {
+    std::uint64_t detected = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t batches = 0;
+    std::uint64_t graded = 0;
+
+    bool operator==(const GradeCounts&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const GradeCounts& c) {
+    return os << "{detected " << c.detected << ", dropped " << c.dropped << ", batches "
+              << c.batches << ", graded " << c.graded << "}";
+}
+
+/// The counter deltas of `run()`, with telemetry on.
+template <class Fn>
+GradeCounts countersOf(const Fn& run) {
+    obs::Counter& detected = obs::counter("fault_sim.faults_detected");
+    obs::Counter& dropped = obs::counter("fault_sim.faults_dropped");
+    obs::Counter& batches = obs::counter("fault_sim.batches");
+    obs::Counter& graded = obs::counter("fault_sim.faults_graded");
+    const GradeCounts before{detected.value(), dropped.value(), batches.value(), graded.value()};
+    const bool was_enabled = obs::enabled();
+    obs::setEnabled(true);
+    run();
+    obs::setEnabled(was_enabled);
+    return {detected.value() - before.detected, dropped.value() - before.dropped,
+            batches.value() - before.batches, graded.value() - before.graded};
+}
+
+TEST(ParallelFaultSim, CountersMatchAcrossWidths) {
+    // s344 + scan: 882 collapsed stuck-at and 372 transition faults, 300
+    // patterns: 5 blocks of one word, 2 blocks of four. Three threads deal
+    // the 6 chunks of the transition list (and the 14 of the stuck-at list)
+    // out to 3 stripes, so each counts its own batches. A fault counts as
+    // graded when it is handed to a grader: at words = 0 that includes the
+    // transition faults no slot of the block launches, which the reference
+    // grader then rejects without a propagation, so words = 0 and words = 1
+    // agree on every counter.
+    Netlist nl = makeCircuit("s344", lib());
+    insertScan(nl);
+    const auto pats = randomPatterns(nl, 300, 83);
+    const auto tests = arbitraryPairs(nl, 300, 89);
+    const auto sfaults = collapsedStuckAtFaults(nl);
+    const auto tfaults = allTransitionFaults(nl);
+    ASSERT_EQ(sfaults.size(), 882u);
+    ASSERT_EQ(tfaults.size(), 372u);
+
+    struct Want {
+        unsigned words;
+        GradeCounts stuck_at;   ///< batches for one thread
+        GradeCounts transition; ///< batches for one thread
+        GradeCounts ndetect;    ///< batches for one thread
+    };
+    const Want wants[] = {
+        {0, {757, 2885, 5, 1525}, {327, 1283, 5, 577}, {0, 0, 5, 1860}},
+        {1, {757, 2885, 5, 1525}, {327, 1283, 5, 577}, {0, 0, 5, 1860}},
+        {4, {757, 747, 2, 1017}, {327, 327, 2, 417}, {0, 0, 2, 744}},
+    };
+    for (const Want& want : wants) {
+        for (const unsigned threads : {1u, 3u}) {
+            FaultSimOptions opts = threaded(threads);
+            opts.words = want.words;
+            const auto scaled = [threads](GradeCounts c) {
+                c.batches *= threads; // every stripe walks every block
+                return c;
+            };
+            EXPECT_EQ(countersOf([&] { (void)runStuckAtFaultSim(nl, pats, sfaults, opts); }),
+                      scaled(want.stuck_at))
+                << "stuck-at words " << want.words << " threads " << threads;
+            EXPECT_EQ(countersOf([&] { (void)runTransitionFaultSim(nl, tests, tfaults, opts); }),
+                      scaled(want.transition))
+                << "transition words " << want.words << " threads " << threads;
+            EXPECT_EQ(
+                countersOf([&] { (void)countTransitionDetections(nl, tests, tfaults, opts); }),
+                scaled(want.ndetect))
+                << "n-detect words " << want.words << " threads " << threads;
+        }
+    }
 }
 
 TEST(ParallelFaultSim, StressManyConcurrentRuns) {
