@@ -20,12 +20,8 @@
 //   --bench-json FILE  BENCH_flow.json bench-trajectory export (provenance
 //                      envelope, per-stage entries, legacy payload under
 //                      "results")
-//   --sample MS        background metrics sampler: counter curves in the
-//                      trace + --timeseries export
-//   --heartbeat SEC    rate-limited stderr progress line for long runs
 #include "flow/paper_flow.hpp"
 #include "obs/benchio.hpp"
-#include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -54,10 +50,7 @@ constexpr const char* kUsage = R"(usage: flh_flow [options]
   --metrics FILE       write flat telemetry metrics (enables telemetry)
   --bench-json FILE    write the bench-trajectory export (BENCH_flow.json)
   --out DIR            directory for bench exports (overrides FLH_BENCH_OUT)
-  --sample MS          sample counters/RSS every MS ms on a background thread
-  --timeseries FILE    write the sampled time-series (requires --sample)
-  --heartbeat SEC      print a progress heartbeat to stderr every SEC seconds
-  --pairs N            ATPG random pairs (default 64)
+  --pairs N            ATPG random pairs, >= 0 (default 64)
   --seed N             ATPG seed (default 11)
   --require-hit-rate F exit 1 unless cache hit rate >= F (CI guard)
   --quiet              suppress the console table
@@ -75,8 +68,6 @@ int main(int argc, char** argv) {
     std::string report_path = "flow_report.json";
     std::string profile_path = "flow_profile.json";
     std::string bench_path;
-    std::string timeseries_path;
-    unsigned sample_ms = 0;
     double require_hit_rate = -1.0;
     bool sim_threads_set = false;
 
@@ -92,9 +83,10 @@ int main(int argc, char** argv) {
         else if (scan.is("--report")) report_path = scan.value();
         else if (scan.is("--profile")) profile_path = scan.value();
         else if (scan.is("--bench-json")) bench_path = scan.value();
-        else if (scan.is("--sample")) sample_ms = scan.num<unsigned>();
-        else if (scan.is("--timeseries")) timeseries_path = scan.value();
-        else if (scan.is("--pairs")) cfg.random_pairs = scan.num<int>();
+        else if (scan.is("--pairs")) {
+            cfg.random_pairs = scan.num<int>();
+            if (cfg.random_pairs < 0) scan.usageError("--pairs must be >= 0");
+        }
         else if (scan.is("--seed")) cfg.atpg_seed = scan.num<std::uint64_t>();
         else if (scan.is("--require-hit-rate")) require_hit_rate = scan.num<double>();
         else scan.unknownOption();
@@ -106,13 +98,9 @@ int main(int argc, char** argv) {
     opts.threads = common.threads;
     if (!sim_threads_set) opts.sim_threads = common.threads;
 
-    if (!timeseries_path.empty() && sample_ms == 0)
-        scan.usageError("--timeseries requires --sample MS");
-    if (sample_ms == 0 && common.heartbeat_s > 0.0) sample_ms = 200;
-
     // Telemetry stays compiled in but disabled unless an export was asked
     // for — the deterministic report is identical either way.
-    if (common.wantsTelemetry() || sample_ms > 0) {
+    if (common.wantsTelemetry()) {
         obs::setEnabled(true);
         obs::setThreadLabel("main");
     }
@@ -123,24 +111,11 @@ int main(int argc, char** argv) {
         try {
             designs.push_back(designInputFor(c));
         } catch (const std::exception& e) {
-            std::cerr << "flh_flow: cannot load design '" << c << "': " << e.what() << "\n";
-            return 1;
+            scan.usageError("cannot load design '" + c + "': " + e.what());
         }
     }
 
     const FlowGraph graph = buildPaperFlow(cfg);
-
-    // The sampler runs only around the flow itself so the time-series
-    // brackets real work, not argument parsing or report serialisation.
-    std::unique_ptr<obs::Sampler> sampler;
-    if (sample_ms > 0) {
-        obs::SamplerOptions sopts;
-        sopts.period_ms = sample_ms;
-        sopts.heartbeat_every_s = common.heartbeat_s;
-        if (common.heartbeat_s > 0.0) sopts.heartbeat_out = &std::cerr;
-        sampler = std::make_unique<obs::Sampler>(sopts);
-        sampler->start();
-    }
 
     // Open the cache handle here rather than inside runFlow so the final
     // stats scan (gauges for --metrics) sees the same handle the run used.
@@ -152,8 +127,6 @@ int main(int argc, char** argv) {
 
     const RunReport report = runFlow(graph, designs, opts);
 
-    if (sampler) sampler->stop();
-
     if (cache) (void)cache->stats(); // refresh cache.entries/bytes gauges
 
     cli::writeFileOrDie("flh_flow", report_path, report.reportJson());
@@ -162,9 +135,6 @@ int main(int argc, char** argv) {
         cli::writeFileOrDie("flh_flow", common.trace_path, obs::traceJson());
     if (!common.metrics_path.empty())
         cli::writeFileOrDie("flh_flow", common.metrics_path, obs::metricsJson());
-    if (sampler && !timeseries_path.empty())
-        cli::writeFileOrDie("flh_flow", obs::benchOutPath(timeseries_path, common.out_flag),
-                            sampler->timeseriesJson());
     if (!bench_path.empty()) {
         // Envelope export: one entry per stage execution plus a whole-run
         // aggregate, with the legacy flh.bench.flow/1 payload under

@@ -21,8 +21,8 @@
 // function flipped) and the exit codes invert: 0 means the checker caught the
 // mutant within the seed budget, 1 means it slept through — the guard against
 // a vacuously-passing checker.
+#include "cell/logic_block.hpp"
 #include "obs/benchio.hpp"
-#include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "util/cli.hpp"
 #include "verify/corpus.hpp"
@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +49,7 @@ constexpr const char* kUsage = R"(usage: flh_fuzz [options]
                        (default 1,4)
   --words LIST         comma-separated packed word widths to cross-check
                        against the naive evaluator and the words=0
-                       reference grader (default 1,4,8)
+                       reference grader, each 1..8 (default 1,4,8)
   --corpus DIR         where shrunk reproducers are written
                        (default fuzz_corpus)
   --no-shrink          report mismatches without minimizing them
@@ -64,7 +63,6 @@ constexpr const char* kUsage = R"(usage: flh_fuzz [options]
   --metrics FILE       write telemetry metrics wrapped in the provenance
                        envelope (enables telemetry)
   --out DIR            directory for --metrics (overrides FLH_BENCH_OUT)
-  --heartbeat SEC      print a progress heartbeat to stderr every SEC seconds
   --quiet              suppress per-finding console output
   --help
 )";
@@ -110,7 +108,14 @@ int main(int argc, char** argv) {
         else if (scan.is("--patterns")) opts.stuck_patterns = scan.num<std::size_t>();
         else if (scan.is("--max-faults")) opts.max_faults = scan.num<std::size_t>();
         else if (scan.is("--threads")) opts.thread_counts = scan.numList<unsigned>();
-        else if (scan.is("--words")) opts.word_widths = scan.numList<unsigned>();
+        else if (scan.is("--words")) {
+            opts.word_widths = scan.numList<unsigned>();
+            for (const unsigned w : opts.word_widths)
+                if (w < 1 || w > kMaxPackedWords)
+                    scan.usageError("--words values must be in 1.." +
+                                    std::to_string(kMaxPackedWords) + ", got " +
+                                    std::to_string(w));
+        }
         else if (scan.is("--corpus")) opts.corpus_dir = scan.value();
         else if (scan.is("--no-shrink")) opts.shrink = false;
         else if (scan.is("--keep-going")) opts.stop_on_first = false;
@@ -123,15 +128,6 @@ int main(int argc, char** argv) {
     if (common.wantsTelemetry()) {
         obs::setEnabled(true);
         obs::setThreadLabel("main");
-    }
-
-    std::unique_ptr<obs::Sampler> sampler;
-    if (common.heartbeat_s > 0.0) {
-        obs::SamplerOptions sopts;
-        sopts.heartbeat_every_s = common.heartbeat_s;
-        sopts.heartbeat_out = &std::cerr;
-        sampler = std::make_unique<obs::Sampler>(sopts);
-        sampler->start();
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -177,7 +173,6 @@ int main(int argc, char** argv) {
     const double wall_ns =
         std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (sampler) sampler->stop();
 
     if (!common.trace_path.empty())
         cli::writeFileOrDie("flh_fuzz", common.trace_path, obs::traceJson());

@@ -20,16 +20,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One recorded event: a completed interval ("X") or a counter sample
-/// ("C", value in `value`). Timestamps are wall-clock and therefore live
-/// strictly on the non-deterministic export side.
+/// One recorded completed interval ("X"). Timestamps are wall-clock and
+/// therefore live strictly on the non-deterministic export side.
 struct SpanEvent {
     std::string name;
     std::string cat;
     double ts_us = 0.0;
     double dur_us = 0.0;
-    char ph = 'X';
-    double value = 0.0;
 };
 
 /// One thread's span storage. Owned by the registry for the process
@@ -246,39 +243,6 @@ Histogram::Summary Histogram::summarize() const {
     return s;
 }
 
-std::vector<MetricSnapshot> snapshotCounters() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<MetricSnapshot> out;
-    out.reserve(r.counters.size());
-    for (const auto& [name, c] : r.counters)
-        out.push_back({name, static_cast<double>(c->value())});
-    return out;
-}
-
-std::vector<MetricSnapshot> snapshotGauges() {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<MetricSnapshot> out;
-    out.reserve(r.gauges.size());
-    for (const auto& [name, g] : r.gauges)
-        out.push_back({name, static_cast<double>(g->value())});
-    return out;
-}
-
-void recordCounterSample(std::string name, double value) {
-    if (!enabled()) return;
-    Lane& lane = myLane();
-    std::lock_guard<std::mutex> lock(lane.mu);
-    SpanEvent e;
-    e.name = std::move(name);
-    e.cat = "obs.sample";
-    e.ts_us = nowUs();
-    e.ph = 'C';
-    e.value = value;
-    lane.events.push_back(std::move(e));
-}
-
 void setThreadLabel(std::string label) {
     if (!enabled()) return;
     Lane& lane = myLane();
@@ -291,8 +255,6 @@ double nowUs() noexcept {
 }
 
 double wallEpochUs() noexcept { return epochs().wall_us; }
-
-#if FLH_OBS_COMPILED_IN
 
 ScopedSpan::ScopedSpan(std::string name, std::string category) {
     if (!enabled()) return;
@@ -310,21 +272,13 @@ ScopedSpan::~ScopedSpan() {
         SpanEvent{std::move(name_), std::move(cat_), start_us_, end_us - start_us_});
 }
 
-#else
-
-ScopedSpan::ScopedSpan(std::string, std::string) {}
-ScopedSpan::~ScopedSpan() = default;
-
-#endif
-
 std::size_t spanCount() {
     Registry& r = registry();
     std::lock_guard<std::mutex> lock(r.mu);
     std::size_t n = 0;
     for (auto& lane : r.lanes) {
         std::lock_guard<std::mutex> ll(lane->mu);
-        for (const SpanEvent& e : lane->events)
-            if (e.ph == 'X') ++n;
+        n += lane->events.size();
     }
     return n;
 }
@@ -379,22 +333,11 @@ std::string traceJson() {
             w.beginObject();
             w.kv("name", e.name);
             w.kv("cat", e.cat.empty() ? "flh" : e.cat);
-            if (e.ph == 'C') {
-                w.kv("ph", "C");
-                w.kv("ts", e.ts_us);
-                w.kv("pid", 1);
-                w.kv("tid", static_cast<std::int64_t>(lane->id));
-                w.key("args");
-                w.beginObject();
-                w.kv("value", e.value);
-                w.endObject();
-            } else {
-                w.kv("ph", "X");
-                w.kv("ts", e.ts_us);
-                w.kv("dur", e.dur_us);
-                w.kv("pid", 1);
-                w.kv("tid", static_cast<std::int64_t>(lane->id));
-            }
+            w.kv("ph", "X");
+            w.kv("ts", e.ts_us);
+            w.kv("dur", e.dur_us);
+            w.kv("pid", 1);
+            w.kv("tid", static_cast<std::int64_t>(lane->id));
             w.endObject();
         }
     }
@@ -411,8 +354,7 @@ std::string metricsJson() {
     std::size_t lanes = 0;
     for (auto& lane : r.lanes) {
         std::lock_guard<std::mutex> ll(lane->mu);
-        for (const SpanEvent& e : lane->events)
-            if (e.ph == 'X') ++spans;
+        spans += lane->events.size();
         if (!lane->events.empty() || !lane->label.empty()) ++lanes;
     }
 

@@ -7,9 +7,7 @@
 //     production builds; every hook first checks one process-global
 //     relaxed atomic flag through an inlined function, so the disabled
 //     path is a single predictable load-and-branch (measured <= 2%
-//     faults/sec impact on the grading kernels). A compile-time kill
-//     switch (-DFLH_OBS_COMPILED_IN=0) additionally turns every hook
-//     into an empty inline body for builds that want literally nothing.
+//     faults/sec impact on the grading kernels).
 //
 //  2. Thread-safe without hot-path contention. Spans land in per-thread
 //     lane buffers (one lane per OS thread, registered on first use);
@@ -37,10 +35,6 @@
 #include <string>
 #include <vector>
 
-#ifndef FLH_OBS_COMPILED_IN
-#define FLH_OBS_COMPILED_IN 1
-#endif
-
 namespace flh::obs {
 
 namespace detail {
@@ -50,11 +44,7 @@ extern std::atomic<bool> g_enabled;
 /// True while telemetry is recording. Inline relaxed load: this is the
 /// only cost a disabled hook pays.
 [[nodiscard]] inline bool enabled() noexcept {
-#if FLH_OBS_COMPILED_IN
     return detail::g_enabled.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 /// Turn recording on/off. Off is the default; flipping the flag never
@@ -181,24 +171,6 @@ private:
 [[nodiscard]] Gauge& gauge(std::string_view name);
 [[nodiscard]] Histogram& histogram(std::string_view name);
 
-/// One registered metric's current value, snapshotted by name. The export
-/// and sampler paths read these; hot paths never do.
-struct MetricSnapshot {
-    std::string name;
-    double value = 0.0;
-};
-
-/// Snapshot every registered counter / gauge (current value, not peak),
-/// sorted by name. Slow path — takes the registry lock.
-[[nodiscard]] std::vector<MetricSnapshot> snapshotCounters();
-[[nodiscard]] std::vector<MetricSnapshot> snapshotGauges();
-
-/// Append a Chrome-trace counter sample ("C" phase) to the calling
-/// thread's lane: traceJson() renders these as a value-over-time track
-/// (category "obs.sample"), which is how the sampler draws throughput
-/// curves inside the existing trace. No-op while disabled.
-void recordCounterSample(std::string name, double value);
-
 /// Label the calling thread's trace lane ("flow-worker-2"). Unlabeled
 /// lanes export as "thread-<lane>". No-op while disabled.
 void setThreadLabel(std::string label);
@@ -217,11 +189,9 @@ public:
     ScopedSpan& operator=(const ScopedSpan&) = delete;
 
 private:
-#if FLH_OBS_COMPILED_IN
     std::string name_;
     std::string cat_;
     double start_us_ = -1.0; ///< < 0: inactive (telemetry was disabled)
-#endif
 };
 
 /// Microseconds since the process-wide telemetry epoch (first use).
@@ -229,22 +199,20 @@ private:
 
 /// Wall clock (system_clock, microseconds since the Unix epoch) captured
 /// at the same instant the steady-clock epoch behind nowUs() was pinned.
-/// traceJson() and the sampler's timeseries embed it as wall_epoch_us so
-/// their relative timestamps can be placed in real time.
+/// traceJson() embeds it as wall_epoch_us so the trace's relative
+/// timestamps can be placed in real time.
 [[nodiscard]] double wallEpochUs() noexcept;
 
-/// Number of span ("X") events currently recorded across all lanes
-/// (counter samples are excluded).
+/// Number of span ("X") events currently recorded across all lanes.
 [[nodiscard]] std::size_t spanCount();
 
 /// Number of lanes (threads) that recorded at least one event or label.
 [[nodiscard]] std::size_t laneCount();
 
 /// Chrome trace_event export: {"traceEvents":[...]} with one "M"
-/// thread_name metadata record per lane, one complete ("X") event per
-/// span, and one counter ("C") event per recorded sample, pid 1,
-/// tid = lane id (registration order, main-ish first). Ends with a
-/// newline.
+/// thread_name metadata record per lane and one complete ("X") event per
+/// span, pid 1, tid = lane id (registration order, main-ish first). Ends
+/// with a newline.
 [[nodiscard]] std::string traceJson();
 
 /// Flat metrics export (schema flh.obs.metrics/1): counters and gauges

@@ -46,7 +46,6 @@ bool CommonFlags::tryParse(ArgScan& scan) {
     } else if (scan.is("--trace")) trace_path = scan.value();
     else if (scan.is("--metrics")) metrics_path = scan.value();
     else if (scan.is("--out")) out_flag = scan.value();
-    else if (scan.is("--heartbeat")) heartbeat_s = scan.num<double>();
     else if (scan.is("--quiet")) quiet = true;
     else return false;
     return true;

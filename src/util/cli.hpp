@@ -3,8 +3,8 @@
 // Every driver binary (flh_flow, flh_fuzz, flh_benchdiff) used to
 // hand-roll the same loop: a `next()` lambda guarding
 // missing values, a from_chars parseNum with a usage error, `--help`
-// handling, and the common --threads/--trace/--metrics/--out/--heartbeat/
-// --quiet flag block. ArgScan + CommonFlags are that loop extracted once.
+// handling, and the common --threads/--trace/--metrics/--out/--quiet
+// flag block. ArgScan + CommonFlags are that loop extracted once.
 // This layer is pure argument parsing — it knows nothing about telemetry;
 // callers hand CommonFlags::trace_path etc. to the obs layer themselves
 // (flh_util sits below flh_obs in the link order).
@@ -88,7 +88,6 @@ private:
 ///   --trace FILE  Chrome trace_event export path
 ///   --metrics FILE telemetry metrics export path
 ///   --out DIR     bench-export directory (overrides FLH_BENCH_OUT)
-///   --heartbeat S rate-limited stderr progress line cadence
 ///   --quiet       suppress console output
 /// tryParse() consumes a matching flag and returns true, so driver loops
 /// keep one `if (common.tryParse(scan)) continue;` line. Drivers whose
@@ -100,7 +99,6 @@ struct CommonFlags {
     std::string trace_path;
     std::string metrics_path;
     std::string out_flag;
-    double heartbeat_s = 0.0;
     bool quiet = false;
     bool parse_threads = true;
 
@@ -109,7 +107,7 @@ struct CommonFlags {
     /// True when any telemetry export was requested (the established cue
     /// for obs::setEnabled(true)).
     [[nodiscard]] bool wantsTelemetry() const noexcept {
-        return !trace_path.empty() || !metrics_path.empty() || heartbeat_s > 0.0;
+        return !trace_path.empty() || !metrics_path.empty();
     }
 };
 

@@ -1,25 +1,18 @@
 // Perf-regression observability: repetition statistics, the provenance
-// envelope round-trip, bench output-path resolution, the background metrics
-// sampler (no lost updates under concurrent counter traffic, final-sample
-// guarantee, heartbeat rate limiting, trace "C" events), and flh_benchdiff
+// envelope round-trip, bench output-path resolution, and flh_benchdiff
 // verdict classification on synthetic baseline/candidate pairs.
 #include "obs/benchdiff.hpp"
 #include "obs/benchio.hpp"
 #include "obs/provenance.hpp"
-#include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace flh::obs {
@@ -42,7 +35,6 @@ struct BenchRegFixture : ::testing::Test {
 using RepStatsMath = BenchRegFixture;
 using Envelope = BenchRegFixture;
 using OutPath = BenchRegFixture;
-using SamplerRun = BenchRegFixture;
 using BenchDiff = BenchRegFixture;
 
 TEST_F(RepStatsMath, OddSampleCountUsesHalvesMethod) {
@@ -138,167 +130,6 @@ TEST_F(OutPath, ParseBenchOutFlagFindsBothSpellings) {
     EXPECT_EQ(parseBenchOutFlag(2, const_cast<char**>(argv2)), "/tmp/e");
     const char* argv3[] = {"bin", "--other"};
     EXPECT_EQ(parseBenchOutFlag(2, const_cast<char**>(argv3)), "");
-}
-
-TEST_F(SamplerRun, FinalSampleSeesClosingCounterValuesUnderConcurrency) {
-    setEnabled(true);
-    Counter& c = counter("benchreg.sampled");
-    SamplerOptions opts;
-    opts.period_ms = 1;
-    Sampler sampler(opts);
-    sampler.start();
-    EXPECT_TRUE(sampler.running());
-
-    constexpr int kThreads = 4;
-    constexpr int kAdds = 20000;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < kThreads; ++t)
-        pool.emplace_back([&c] {
-            for (int i = 0; i < kAdds; ++i) c.add();
-        });
-    for (auto& th : pool) th.join();
-    sampler.stop();
-    EXPECT_FALSE(sampler.running());
-
-    const std::vector<MetricsSample> samples = sampler.samples();
-    ASSERT_GE(samples.size(), 1u);
-    // The stop() contract: the series ends on the closing counter value.
-    const MetricsSample& last = samples.back();
-    ASSERT_TRUE(last.values.count("benchreg.sampled"));
-    EXPECT_DOUBLE_EQ(last.values.at("benchreg.sampled"),
-                     static_cast<double>(kThreads) * kAdds);
-    // Monotone non-decreasing counter curve, monotone timestamps.
-    double prev_v = -1.0, prev_ts = -1.0;
-    for (const MetricsSample& s : samples) {
-        EXPECT_GE(s.ts_us, prev_ts);
-        prev_ts = s.ts_us;
-        const auto it = s.values.find("benchreg.sampled");
-        const double v = it == s.values.end() ? 0.0 : it->second;
-        EXPECT_GE(v, prev_v);
-        prev_v = v;
-    }
-    EXPECT_GT(last.rss_bytes, 0u);
-    EXPECT_GE(last.threads, 1u);
-}
-
-TEST_F(SamplerRun, TimeseriesJsonAndTraceCounterEventsParse) {
-    setEnabled(true);
-    counter("benchreg.series").add(17);
-    gauge("benchreg.depth").set(3);
-    SamplerOptions opts;
-    opts.period_ms = 5;
-    Sampler sampler(opts);
-    sampler.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    sampler.stop();
-
-    const JsonValue ts = parseJson(sampler.timeseriesJson());
-    EXPECT_EQ(ts.at("schema").str, "flh.obs.timeseries/1");
-    EXPECT_EQ(ts.at("period_ms").num, 5.0);
-    const auto& cols = ts.at("columns").arr;
-    ASSERT_GE(cols.size(), 3u);
-    EXPECT_EQ(cols[0].str, "ts_us");
-    EXPECT_EQ(cols[1].str, "rss_bytes");
-    EXPECT_EQ(cols[2].str, "threads");
-    bool saw_metric_col = false;
-    for (const JsonValue& c : cols)
-        if (c.str == "benchreg.series") saw_metric_col = true;
-    EXPECT_TRUE(saw_metric_col);
-    ASSERT_EQ(ts.at("samples").num, static_cast<double>(sampler.sampleCount()));
-    for (const JsonValue& row : ts.at("rows").arr)
-        EXPECT_EQ(row.arr.size(), cols.size());
-
-    // The sampler's lane carries Chrome counter ("C") events; span counting
-    // stays X-only so the sampler never inflates spanCount().
-    EXPECT_EQ(spanCount(), 0u);
-    const JsonValue trace = parseJson(traceJson());
-    std::size_t c_events = 0;
-    bool saw_rss = false;
-    for (const JsonValue& e : trace.at("traceEvents").arr) {
-        if (e.at("ph").str != "C") continue;
-        ++c_events;
-        EXPECT_EQ(e.at("cat").str, "obs.sample");
-        EXPECT_TRUE(e.at("args").has("value"));
-        if (e.at("name").str == "process.rss_mb") saw_rss = true;
-    }
-    EXPECT_GE(c_events, 1u);
-    EXPECT_TRUE(saw_rss);
-}
-
-TEST_F(SamplerRun, RestartBeginsFreshSeriesOnTheSameLane) {
-    setEnabled(true);
-    Counter& c = counter("benchreg.restart");
-    SamplerOptions opts;
-    opts.period_ms = 1;
-    Sampler sampler(opts);
-
-    // Activation one.
-    sampler.start();
-    c.add(10);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    sampler.stop();
-    const std::vector<MetricsSample> first = sampler.samples();
-    ASSERT_GE(first.size(), 1u);
-    const double last_ts1 = first.back().ts_us;
-    EXPECT_DOUBLE_EQ(first.back().values.at("benchreg.restart"), 10.0);
-    const std::size_t lanes_after_first = laneCount();
-
-    // Activation two must start a clean series: the previous activation's
-    // final sample is not replayed into it (that would double-count the
-    // boundary), and it records onto the same sampler lane instead of
-    // leaking a stale one per restart.
-    sampler.start();
-    c.add(5);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    sampler.stop();
-    const std::vector<MetricsSample> second = sampler.samples();
-    ASSERT_GE(second.size(), 1u);
-    EXPECT_GT(second.front().ts_us, last_ts1);
-    EXPECT_DOUBLE_EQ(second.back().values.at("benchreg.restart"), 15.0);
-    EXPECT_EQ(laneCount(), lanes_after_first);
-
-    // A redundant start while running stays a no-op (no series reset).
-    sampler.start();
-    const std::size_t before = sampler.sampleCount();
-    sampler.start();
-    EXPECT_GE(sampler.sampleCount(), before);
-    sampler.stop();
-}
-
-TEST_F(SamplerRun, HeartbeatIsRateLimited) {
-    setEnabled(true);
-    counter("fault_sim.faults_graded").add(1000);
-    std::ostringstream slow_out;
-    {
-        // ~30 samples at 5ms but a 10s heartbeat budget: at most the
-        // initial line may print.
-        SamplerOptions opts;
-        opts.period_ms = 5;
-        opts.heartbeat_every_s = 10.0;
-        opts.heartbeat_out = &slow_out;
-        Sampler sampler(opts);
-        sampler.start();
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
-        sampler.stop();
-        EXPECT_LE(sampler.heartbeatCount(), 1u);
-    }
-    std::ostringstream fast_out;
-    {
-        SamplerOptions opts;
-        opts.period_ms = 5;
-        opts.heartbeat_every_s = 0.02;
-        opts.heartbeat_out = &fast_out;
-        Sampler sampler(opts);
-        sampler.start();
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
-        sampler.stop();
-        EXPECT_GE(sampler.heartbeatCount(), 2u);
-        const std::string lines = fast_out.str();
-        EXPECT_EQ(static_cast<std::size_t>(std::count(lines.begin(), lines.end(), '\n')),
-                  sampler.heartbeatCount());
-        // The line leads with the [flh] tag and elapsed time.
-        EXPECT_EQ(lines.rfind("[flh] t=", 0), 0u) << lines;
-    }
 }
 
 // ---------------------------------------------------------------------------
