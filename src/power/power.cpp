@@ -1,9 +1,11 @@
 #include "power/power.hpp"
 
+#include "obs/telemetry.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
+#include <mutex>
 
 namespace flh {
 
@@ -25,21 +27,57 @@ std::vector<PV> randomPv(std::size_t n, Rng& rng) {
     return v;
 }
 
-} // namespace
+/// Everything the switching simulation reads, as 32-bit words: the power
+/// configuration (the probabilities by bit pattern), the net count, the PI
+/// and flip-flop orders, and each gate's function, output and inputs in pin
+/// order. Two netlists with equal keys simulate to equal activity.
+std::vector<std::uint32_t> switchingKey(const Netlist& nl, const PowerConfig& cfg) {
+    std::vector<std::uint32_t> key;
+    const auto push64 = [&](std::uint64_t v) {
+        key.push_back(static_cast<std::uint32_t>(v));
+        key.push_back(static_cast<std::uint32_t>(v >> 32));
+    };
+    const auto pushList = [&](const std::vector<std::uint32_t>& ids) {
+        key.push_back(static_cast<std::uint32_t>(ids.size()));
+        key.insert(key.end(), ids.begin(), ids.end());
+    };
+    key.push_back(static_cast<std::uint32_t>(cfg.n_vectors));
+    push64(cfg.seed);
+    push64(std::bit_cast<std::uint64_t>(cfg.pi_toggle_prob));
+    push64(std::bit_cast<std::uint64_t>(cfg.ff_hold_prob));
+    key.push_back(static_cast<std::uint32_t>(nl.netCount()));
+    pushList(nl.pis());
+    pushList(nl.flipFlops());
+    for (GateId g = 0; g < nl.gateCount(); ++g) {
+        const Gate& gate = nl.gate(g);
+        key.push_back(static_cast<std::uint32_t>(gate.fn));
+        key.push_back(gate.output);
+        pushList(gate.inputs);
+    }
+    return key;
+}
 
-SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg) {
+SwitchingActivity runSwitching(const Netlist& nl, const PowerConfig& cfg) {
     Rng rng(cfg.seed);
 
     // Settling is a full sweep, not propagate(): with 64 independent slots
     // most gates see an input change every settle, where a level-order
     // sweep is cheaper per evaluation than queueing events, and it settles
-    // the same values with the same toggles (PatternSim::evalAll).
-    SequentialSim seq(nl);
-    PatternSim& sim = seq.sim();
+    // the same values with the same toggles (PatternSim::evalAll). Sources
+    // are written with writeNet, which queues no events for the sweep to
+    // drop.
+    PatternSim sim(nl);
+    const SimTables& t = *sim.tables();
+    const std::size_t n_pis = nl.pis().size();
+    const NetId* q = t.sources.data() + n_pis;           // FF Q nets
+    const NetId* d = t.observed.data() + nl.pos().size(); // FF D nets
     std::vector<PV> state = randomPv(nl.flipFlops().size(), rng);
-    std::vector<PV> pis = randomPv(nl.pis().size(), rng);
-    seq.setState(state);
-    seq.setPis(pis);
+    std::vector<PV> pis = randomPv(n_pis, rng);
+    const auto writeState = [&] {
+        for (std::size_t i = 0; i < state.size(); ++i) sim.writeNet(q[i], state[i]);
+    };
+    writeState();
+    for (std::size_t i = 0; i < n_pis; ++i) sim.writeNet(t.sources[i], pis[i]);
     sim.evalAll();
 
     sim.enableToggleCount(true);
@@ -49,23 +87,52 @@ SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg) {
     // simulated vector yields 64 sampled vectors. PI bits toggle with
     // pi_toggle_prob; FFs hold with ff_hold_prob (enable-gated registers).
     for (int v = 0; v < cfg.n_vectors; ++v) {
-        for (PV& p : pis) p.v ^= rng.bernoulliMask(cfg.pi_toggle_prob);
-        seq.setPis(pis);
-        sim.evalAll();
-        std::vector<PV> next = state;
-        const auto& ffs = nl.flipFlops();
-        for (std::size_t i = 0; i < ffs.size(); ++i) {
-            const PV d = sim.get(nl.gate(ffs[i]).inputs[0]);
-            const std::uint64_t hold = rng.bernoulliMask(cfg.ff_hold_prob);
-            next[i] = PV{(state[i].v & hold) | (d.v & ~hold),
-                         (state[i].x & hold) | (d.x & ~hold)};
+        for (std::size_t i = 0; i < n_pis; ++i) {
+            pis[i].v ^= rng.bernoulliMask(cfg.pi_toggle_prob);
+            sim.writeNet(t.sources[i], pis[i]);
         }
-        state = std::move(next);
-        seq.setState(state);
+        sim.evalAll();
+        for (std::size_t i = 0; i < state.size(); ++i) {
+            const PV dv = sim.get(d[i]);
+            const std::uint64_t hold = rng.bernoulliMask(cfg.ff_hold_prob);
+            state[i] = PV{(state[i].v & hold) | (dv.v & ~hold),
+                          (state[i].x & hold) | (dv.x & ~hold)};
+        }
+        writeState();
         sim.evalAll();
     }
 
     return {sim.toggleCounts(), static_cast<double>(cfg.n_vectors) * 64.0};
+}
+
+/// The last simulation's key and result. One slot serves every caller:
+/// they all loop circuit-major, pricing several overlays of one netlist
+/// and configuration in a row.
+struct SwitchingMemo {
+    std::mutex mu;
+    std::vector<std::uint32_t> key; ///< empty until the first simulation
+    SwitchingActivity activity;
+};
+
+} // namespace
+
+SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg) {
+    static obs::Counter& c_reused = obs::counter("power.activity_reused");
+    static SwitchingMemo memo;
+    std::vector<std::uint32_t> key = switchingKey(nl, cfg);
+    {
+        const std::lock_guard lock(memo.mu);
+        if (memo.key == key) {
+            c_reused.add();
+            return memo.activity;
+        }
+    }
+    // Simulate outside the lock, so threads on different netlists overlap.
+    SwitchingActivity activity = runSwitching(nl, cfg);
+    const std::lock_guard lock(memo.mu);
+    memo.key = std::move(key);
+    memo.activity = activity;
+    return activity;
 }
 
 PowerResult powerFromSwitching(const Netlist& nl, const SwitchingActivity& activity,

@@ -16,10 +16,13 @@
 // records per-net toggle counts; powerFromSwitching() turns those counts
 // into power under an overlay. Overlays only add capacitance and scale
 // leakage, they never change the logic, so one simulation serves every
-// overlay of the same netlist and configuration (evaluateDft accounts the
-// base and the DFT overlay from one activity record).
+// overlay of the same netlist and configuration. simulateSwitching keeps
+// its last result and returns it again when it gets the same logic and
+// configuration (counter power.activity_reused), so evaluateDft of the
+// three holding styles of one circuit, and measureNormalPower of its base,
+// simulate once between them.
 //
-// Cost: simulateSwitching is 2 * n_vectors + 1 full sweeps of the one-word
+// Cost: a simulation is 2 * n_vectors + 1 full sweeps of the one-word
 // simulator (PatternSim::evalAll) plus 64 Bernoulli draws per primary input
 // and flip-flop per vector. It is nearly all of a Tables I-IV evaluation:
 // on s13207 at its workload one simulation takes about 55 ms, 40 of them
@@ -27,7 +30,8 @@
 // when each settle queued events. A circuit whose activity stays low
 // loses instead: at the default rates an input change reaches about 30% of
 // s298's gates per settle, so the sweep costs it some 30 us more per
-// simulation.
+// simulation. A reuse costs a pass over the netlist to build the key, a
+// compare and a copy of the toggle counts.
 #pragma once
 
 #include "netlist/netlist.hpp"
@@ -104,6 +108,13 @@ struct SwitchingActivity {
 };
 
 /// Sequential simulation of `cfg.n_vectors` random vectors, counting toggles.
+/// Returns a copy of the previous call's result, without simulating, when
+/// that call had the same key: every `cfg` field (the probabilities by bit
+/// pattern), the net count, the PI and flip-flop orders, and each gate's
+/// function, output and inputs in pin order. The key is content, compared
+/// in full, so a netlist edited in place never reuses a stale result and an
+/// identical copy reuses it. One slot, shared by all threads under a mutex;
+/// the simulation itself runs outside the lock.
 [[nodiscard]] SwitchingActivity simulateSwitching(const Netlist& nl, const PowerConfig& cfg = {});
 
 /// Power of `nl` with DFT overlay `ov` under the recorded activity.

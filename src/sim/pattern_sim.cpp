@@ -132,6 +132,17 @@ void PatternSim::setNet(NetId net, unsigned word, PV value) {
     applyValue(net, planes);
 }
 
+void PatternSim::writeNet(NetId net, PV value) {
+    std::uint64_t planes[2 * kMaxPackedWords];
+    std::memcpy(planes, &planes_.at(planeIndex(net)), 2 * words_ * sizeof(std::uint64_t));
+    planes[0] = value.v;
+    planes[words_] = value.x;
+    if (words_ == 1)
+        writeW<1>(net, planes);
+    else
+        writeW<0>(net, planes);
+}
+
 PV PatternSim::get(NetId net, unsigned word) const {
     if (word >= words_) throw std::out_of_range("PatternSim::get: word out of range");
     const std::size_t base = planeIndex(net);

@@ -101,6 +101,11 @@ public:
     /// the driver is held.
     void setNet(NetId net, unsigned word, PV value);
     void setNet(NetId net, PV value) { setNet(net, 0, value); }
+    /// setNet(net, value) without the scheduling: the write is forced by a
+    /// net fault, logged for undo and counted as toggles the same way, but
+    /// no fanout is queued. For callers that settle by evalAll(), which
+    /// evaluates every gate anyway and would drop the events.
+    void writeNet(NetId net, PV value);
 
     /// Word 0 of a net.
     [[nodiscard]] PV get(NetId net) const {

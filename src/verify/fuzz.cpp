@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 namespace flh {
 
@@ -61,7 +62,7 @@ bool perNetMismatch(const Netlist& nl, const std::vector<TwoPattern>& pairs,
 
     std::vector<unsigned> widths{1};
     for (const unsigned W : opts.word_widths)
-        if (W > 1 && W <= kMaxPackedWords) widths.push_back(W);
+        if (W > 1) widths.push_back(W);
     for (const unsigned W : widths) {
         PatternSim sim(nl, W);
         const auto loadSource = [&](NetId net, auto&& bit) {
@@ -202,8 +203,7 @@ FaultSimOptions referenceGrader() { return poolOptions(1, 0); }
 /// requested packed width.
 std::vector<unsigned> widthsUnderTest(const FuzzOptions& opts) {
     std::vector<unsigned> ws{0};
-    for (const unsigned w : opts.word_widths)
-        if (w >= 1 && w <= kMaxPackedWords) ws.push_back(w);
+    ws.insert(ws.end(), opts.word_widths.begin(), opts.word_widths.end());
     return ws;
 }
 
@@ -412,6 +412,10 @@ FuzzReport runFuzz(const FuzzOptions& opts) {
     static obs::Counter& c_checks = obs::counter("verify.fuzz.checks");
     static obs::Counter& c_findings = obs::counter("verify.fuzz.findings");
     static obs::Counter& c_podem_aborts = obs::counter("verify.fuzz.podem_aborts");
+    for (const unsigned w : opts.word_widths)
+        if (w < 1 || w > kMaxPackedWords)
+            throw std::invalid_argument("runFuzz: word width " + std::to_string(w) +
+                                        " outside 1.." + std::to_string(kMaxPackedWords));
 
     const Library& lib = [] () -> const Library& {
         static const Library l = makeDefaultLibrary();

@@ -59,7 +59,8 @@ struct FuzzOptions {
     /// naive evaluator (one word always included); each bitmap/n-detect
     /// check runs every width at every thread count against the reference
     /// grader (words = 0), plus words = 0 itself (pure thread-determinism
-    /// of the reference).
+    /// of the reference). Each must be in 1..kMaxPackedWords; runFuzz
+    /// throws std::invalid_argument otherwise.
     std::vector<unsigned> word_widths{1, 4, 8};
 
     bool shrink = true;

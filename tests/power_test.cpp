@@ -1,10 +1,13 @@
 #include "iscas/circuits.hpp"
+#include "netlist/bench_io.hpp"
+#include "obs/telemetry.hpp"
 #include "power/power.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace flh {
@@ -165,6 +168,138 @@ TEST(Power, SwitchingMatchesEventDrivenSettle) {
             EXPECT_EQ(a.toggles, switchingOnEventSettle(nl, cfg)) << name << " seed " << seed;
         }
     }
+}
+
+// simulateSwitching keeps its last result and returns it again for the
+// same logic and configuration (counter power.activity_reused). Every test
+// checks the returned toggles against the event-driven replay, so a stale
+// reuse shows as a wrong answer, and reads the counter to tell a reuse
+// from a new simulation.
+class SwitchingReuse : public ::testing::Test {
+protected:
+    void SetUp() override {
+        obs::reset();
+        obs::setEnabled(true);
+    }
+    void TearDown() override {
+        obs::setEnabled(false);
+        obs::reset();
+    }
+
+    /// simulateSwitching, checked against the oracle; `reused` says whether
+    /// it reused the previous activity.
+    static std::vector<std::uint64_t> simulate(const Netlist& nl, const PowerConfig& cfg,
+                                               bool* reused) {
+        const std::uint64_t before = reuses();
+        const SwitchingActivity a = simulateSwitching(nl, cfg);
+        *reused = reuses() != before;
+        EXPECT_EQ(a.toggles, switchingOnEventSettle(nl, cfg));
+        EXPECT_EQ(a.sampled_cycles, cfg.n_vectors * 64.0);
+        return a.toggles;
+    }
+    static std::uint64_t reuses() { return obs::counter("power.activity_reused").value(); }
+
+    static PowerConfig config() {
+        PowerConfig cfg;
+        cfg.n_vectors = 20;
+        cfg.seed = 5;
+        cfg.ff_hold_prob = 0.25;
+        return cfg;
+    }
+};
+
+TEST_F(SwitchingReuse, SameNetlistTwiceSimulatesOnce) {
+    const Netlist nl = makeCircuit("s298", lib());
+    bool reused = false;
+    (void)simulate(nl, config(), &reused);
+    const std::uint64_t before = reuses();
+    const std::vector<std::uint64_t> again = simulate(nl, config(), &reused);
+    EXPECT_TRUE(reused);
+    EXPECT_EQ(reuses(), before + 1);
+    // measureNormalPower goes through the same slot.
+    EXPECT_EQ(measureNormalPower(nl, {}, config()).toggles,
+              powerFromSwitching(nl, {again, 20 * 64.0}).toggles);
+    EXPECT_EQ(reuses(), before + 2);
+}
+
+TEST_F(SwitchingReuse, InPlaceEditsNeverReuse) {
+    // The key is the netlist's content, not its address: the same object
+    // edited in place simulates again.
+    Netlist nl = makeCircuit("s298", lib());
+    bool reused = true;
+    const std::vector<std::uint64_t> before = simulate(nl, config(), &reused);
+
+    // Rewire one pin of the first two-input gate to another primary input;
+    // the net and gate counts stay the same.
+    GateId g = 0;
+    while (nl.gate(g).inputs.size() < 2) ++g;
+    const NetId old_in = nl.gate(g).inputs[1];
+    const NetId new_in = nl.pis()[0] == old_in ? nl.pis()[1] : nl.pis()[0];
+    nl.rewireInput(g, 1, new_in);
+    const std::vector<std::uint64_t> rewired = simulate(nl, config(), &reused);
+    EXPECT_FALSE(reused);
+    EXPECT_NE(rewired, before);
+
+    const NetId extra = nl.addNet("extra");
+    (void)nl.addGate(CellFn::And, {nl.pis()[0], nl.pis()[1]}, extra);
+    const std::vector<std::uint64_t> grown = simulate(nl, config(), &reused);
+    EXPECT_FALSE(reused);
+    EXPECT_EQ(grown.size(), nl.netCount());
+}
+
+TEST_F(SwitchingReuse, EachConfigFieldIsPartOfTheKey) {
+    const Netlist nl = makeCircuit("s298", lib());
+    const PowerConfig base = config();
+    std::vector<PowerConfig> changed(4, base);
+    changed[0].n_vectors = 21;
+    changed[1].seed = 6;
+    changed[2].pi_toggle_prob = 0.5;
+    changed[3].ff_hold_prob = 0.75;
+    bool reused = false;
+    for (const PowerConfig& cfg : changed) {
+        const std::vector<std::uint64_t> b = simulate(nl, base, &reused);
+        const std::vector<std::uint64_t> c = simulate(nl, cfg, &reused);
+        EXPECT_FALSE(reused) << "n_vectors " << cfg.n_vectors << " seed " << cfg.seed;
+        EXPECT_NE(c, b);
+    }
+}
+
+TEST_F(SwitchingReuse, ReparsedCopyReuses) {
+    // Each of the flow's dft stages parses the one cached .bench text of
+    // the scanned circuit into its own Netlist. (The parser numbers nets in
+    // text order, so a parsed copy of the generator's netlist renumbers
+    // them and simulates anew; two parses of one text are identical.)
+    const std::string text = writeBenchString(makeCircuit("s298", lib()));
+    const Netlist first = readBenchString(text, "first", lib());
+    const Netlist second = readBenchString(text, "second", lib());
+    bool reused = false;
+    const std::vector<std::uint64_t> a = simulate(first, config(), &reused);
+    const std::vector<std::uint64_t> b = simulate(second, config(), &reused);
+    EXPECT_TRUE(reused);
+    EXPECT_EQ(a, b);
+}
+
+TEST_F(SwitchingReuse, ConcurrentCallersMatchSerial) {
+    // Four threads alternate between two netlists, so the slot is read and
+    // replaced concurrently all the time.
+    const Netlist nets[2] = {makeCircuit("s298", lib()), makeCircuit("s344", lib())};
+    PowerConfig cfg = config();
+    cfg.n_vectors = 4;
+    const std::vector<std::uint64_t> serial[2] = {switchingOnEventSettle(nets[0], cfg),
+                                                  switchingOnEventSettle(nets[1], cfg)};
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 500;
+    std::vector<int> wrong(kThreads, 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            for (int i = 0; i < kCalls; ++i) {
+                const int k = (t + i) % 2;
+                if (simulateSwitching(nets[k], cfg).toggles != serial[k]) ++wrong[t];
+            }
+        });
+    for (std::thread& th : pool) th.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
 }
 
 class ScanShiftPower : public ::testing::TestWithParam<const char*> {};

@@ -150,6 +150,38 @@ std::vector<GateId> faninCone(const Netlist& nl, std::vector<NetId> nets) {
     return cone;
 }
 
+TEST(PatternSim, WriteNetIsSetNetWithoutScheduling) {
+    // writeNet writes, counts toggles and logs for undo like setNet, but
+    // queues nothing; evalAll then settles what propagate() settles.
+    const Netlist nl = makeCircuit("s641", lib());
+    for (const unsigned W : kWidths) {
+        const std::string at = "W " + std::to_string(W);
+        Rng rng(707 + W);
+        const Sources start = randomSources(nl, rng, W);
+        PatternSim queued = settled(nl, start);
+        PatternSim written = settled(nl, start);
+        queued.enableToggleCount(true);
+        written.enableToggleCount(true);
+        const std::vector<PV> word0 = randomSources(nl, rng).front();
+        std::size_t k = 0;
+        for (const NetId src : written.tables()->sources) {
+            queued.setNet(src, word0[k]);
+            written.writeNet(src, word0[k++]);
+        }
+        EXPECT_EQ(written.propagate(), 0u) << at;
+        EXPECT_GT(queued.propagate(), 0u) << at;
+        written.evalAll();
+        EXPECT_EQ(snapshot(written), snapshot(queued)) << at;
+        EXPECT_EQ(written.toggleCounts(), queued.toggleCounts()) << at;
+
+        const std::vector<PV> before = snapshot(written);
+        const PatternSim::Checkpoint cp = written.checkpoint();
+        for (const NetId src : written.tables()->sources) written.writeNet(src, PV{~0ULL, 0});
+        written.rollback(cp);
+        EXPECT_EQ(snapshot(written), before) << at;
+    }
+}
+
 TEST(PatternSim, EvalAllMatchesPropagate) {
     // evalAll's sweep against the event path, each on its own simulator fed
     // the same stimuli with events queued: identical planes and toggle

@@ -296,6 +296,17 @@ TEST(FuzzTest, SmokeSeedsRunClean) {
     EXPECT_EQ(rep.checks_run, 6u * 6u + enumerable);
 }
 
+TEST(FuzzTest, WordWidthOutsideRangeThrows) {
+    // A width the simulators cannot run is an error, not a silent skip
+    // that would leave only width 1 and the reference grader checked.
+    for (const unsigned bad : {0u, kMaxPackedWords + 1}) {
+        FuzzOptions opts;
+        opts.seeds = 1;
+        opts.word_widths = {bad};
+        EXPECT_THROW((void)runFuzz(opts), std::invalid_argument) << "width " << bad;
+    }
+}
+
 // ---- shrinker ----------------------------------------------------------
 
 TEST(ShrinkTest, RemoveGatePreservesSurvivingNetValues) {
