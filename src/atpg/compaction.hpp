@@ -6,6 +6,9 @@
 // keep only the patterns that detect something new. Coverage is preserved
 // exactly; test time (scan cycles) drops with the pattern count — relevant
 // because enhanced-scan/FLH tests cost *two* chain loads each (Fig. 5b).
+// Walking backwards, a test detects a fault first iff it is the fault's
+// last detector, so one grading run (lastDetectingPatterns) finds the tests
+// the pass keeps.
 #pragma once
 
 #include "fault/fault_sim.hpp"

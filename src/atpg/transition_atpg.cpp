@@ -68,7 +68,8 @@ constexpr std::size_t kTopOffWindowPerWorker = 8;
 struct Prepared {
     PodemOutcome v2_out = PodemOutcome::Aborted;
     Pattern v2;
-    bool v1_ok = true; ///< false: the V1 justification failed
+    /// The V1 justification's verdict; Success when there is none.
+    PodemOutcome v1_out = PodemOutcome::Success;
     Pattern v1_base;
 };
 
@@ -91,24 +92,12 @@ public:
         }
     }
 
-    void run() {
-        // The open list shrinks as tests are added; walk a snapshot.
-        const std::vector<std::size_t> order = open_idx_;
-        const unsigned workers = ExecPolicy{cfg_.threads, kMinTopOffFaultsPerWorker}
-                                     .resolveThreads(order.size());
-        if (workers > 1) {
-            runParallel(order, workers);
-            return;
-        }
-        for (const std::size_t fi : order)
-            if (!res_.coverage.detected_mask[fi]) commit(fi, prepare(podem_, fi));
-    }
+    void run();
 
 private:
     [[nodiscard]] Prepared prepare(Podem& podem, std::size_t fi) const;
     void commit(std::size_t fi, const Prepared& p);
     bool tryAddTest(std::size_t fi, const TwoPattern& tp);
-    void runParallel(const std::vector<std::size_t>& order, unsigned workers);
 
     const Netlist& nl_;
     TestApplication style_;
@@ -118,7 +107,7 @@ private:
     Rng& rng_;
     /// Simulator tables shared by every Podem and the grader.
     std::shared_ptr<const SimTables> tables_;
-    Podem podem_; ///< the calling thread's: serial prepare, skewed-load commit
+    Podem podem_; ///< the calling thread's: its prepares, skewed-load commit
     TransitionGrader grader_; ///< one-test grading, one word, calling thread only
     /// Still-undetected faults, ascending: what one-test grading covers.
     std::vector<std::size_t> open_idx_;
@@ -145,7 +134,7 @@ Prepared TopOff::prepare(Podem& podem, std::size_t fi) const {
     podem.clearFrozen();
     if (style_ == TestApplication::EnhancedScan) {
         // V1: independently justify the initial value at the site.
-        p.v1_ok = podem.justify(tf.net, tf.initialValue(), p.v1_base) == PodemOutcome::Success;
+        p.v1_out = podem.justify(tf.net, tf.initialValue(), p.v1_base);
         return p;
     }
     // V1 must drive the circuit into V2's required state: justify every
@@ -159,7 +148,7 @@ Prepared TopOff::prepare(Podem& podem, std::size_t fi) const {
     }
     // The initial value at the site must hold in V1 as well.
     objectives.push_back({tf.net, tf.initialValue()});
-    p.v1_ok = podem.justifyAll(objectives, p.v1_base) == PodemOutcome::Success;
+    p.v1_out = podem.justifyAll(objectives, p.v1_base);
     return p;
 }
 
@@ -172,9 +161,10 @@ void TopOff::commit(std::size_t fi, const Prepared& p) {
         ++res_.aborted;
         return;
     }
-    if (!p.v1_ok) {
-        // One failure per attempt, as if each had re-run it.
-        if (style_ == TestApplication::Broadside)
+    if (p.v1_out != PodemOutcome::Success) {
+        if (style_ == TestApplication::EnhancedScan)
+            ++(p.v1_out == PodemOutcome::Untestable ? res_.v1_untestable : res_.v1_aborted);
+        else // broadside: one failure per attempt, as if each had re-run it
             res_.justify_failures += static_cast<std::size_t>(cfg_.justify_retries);
         return;
     }
@@ -269,13 +259,17 @@ bool TopOff::tryAddTest(std::size_t fi, const TwoPattern& tp) {
     return true;
 }
 
-void TopOff::runParallel(const std::vector<std::size_t>& order, unsigned workers) {
+void TopOff::run() {
     // Workers prepare faults speculatively, at most `window` past the last
     // commit; the calling thread commits them in fault order and discards
     // one that an earlier commit's test has since detected — exactly the
-    // fault the serial loop would have skipped. While the next fault in
-    // order is not ready, the calling thread prepares too, so it spawns one
-    // worker fewer than `workers`.
+    // fault a one-at-a-time walk would have skipped. While the next fault
+    // in order is not ready, the calling thread prepares too, so it spawns
+    // one worker fewer than `workers` (none for one). The open list shrinks
+    // as tests are added; walk a snapshot.
+    const std::vector<std::size_t> order = open_idx_;
+    const unsigned workers =
+        ExecPolicy{cfg_.threads, kMinTopOffFaultsPerWorker}.resolveThreads(order.size());
     const std::size_t n = order.size();
     const std::size_t window = kTopOffWindowPerWorker * workers;
     enum class Slot : std::uint8_t { Pending, Ready, Skipped };
@@ -412,9 +406,13 @@ TransitionAtpgResult generateTransitionTests(const Netlist& nl, TestApplication 
     static obs::Counter& c_generated = obs::counter("atpg.generated");
     static obs::Counter& c_aborted = obs::counter("atpg.aborted");
     static obs::Counter& c_untestable = obs::counter("atpg.untestable");
+    static obs::Counter& c_v1_aborted = obs::counter("atpg.v1_aborted");
+    static obs::Counter& c_v1_untestable = obs::counter("atpg.v1_untestable");
     c_generated.add(res.generated);
     c_aborted.add(res.aborted);
     c_untestable.add(res.untestable);
+    c_v1_aborted.add(res.v1_aborted);
+    c_v1_untestable.add(res.v1_untestable);
     return res;
 }
 

@@ -49,12 +49,18 @@ struct TransitionAtpgResult {
     std::vector<TwoPattern> tests;
     FaultSimResult coverage; ///< final fault-sim over all generated tests
     std::size_t generated = 0;
-    std::size_t aborted = 0;
-    std::size_t untestable = 0;
-    /// Failed V1 attempts: one per retry whose V1 could not meet the style
-    /// constraint. A deterministic failure (broadside's justification does
-    /// not depend on the fill) counts once per retry, though it runs once.
-    /// Enhanced-scan V1 failures are not counted: its V1 is unconstrained.
+    std::size_t aborted = 0;    ///< top-off faults whose V2 search aborted
+    std::size_t untestable = 0; ///< top-off faults whose V2 search proved none
+    /// Enhanced scan: top-off faults whose V2 search succeeded but whose V1
+    /// justification of the initial value failed (other styles: 0). Each
+    /// undetected fault holds one of the four top-off verdicts; a later
+    /// top-off test may still detect a fault counted aborted.
+    std::size_t v1_untestable = 0;
+    std::size_t v1_aborted = 0;
+    /// Failed V1 attempts of the constrained styles: one per retry whose V1
+    /// could not meet the style constraint. A deterministic failure
+    /// (broadside's justification does not depend on the fill) counts once
+    /// per retry, though it runs once.
     std::size_t justify_failures = 0;
 };
 

@@ -3,10 +3,12 @@
 // is a popular choice").
 //
 // Cause-effect diagnosis: given the observed per-test responses of a
-// defective die, every candidate transition fault's responses are simulated
+// defective die, every candidate transition fault's responses are predicted
 // and scored against the observation. The arbitrary two-pattern application
 // (FLH/enhanced scan) is what makes the per-test responses reproducible
-// enough for this to work: each test applies a known (V1, V2).
+// enough for this to work: each test applies a known (V1, V2). Candidates
+// are graded like detection (countMismatchingTests), with the faulty V2
+// capture compared against the observed one instead of the good one.
 #pragma once
 
 #include "fault/fault_sim.hpp"
@@ -15,11 +17,9 @@
 
 namespace flh {
 
-/// Per-test capture view: response() of V2 (POs then FF D values).
-using Response = std::vector<Logic>;
-
-/// Simulate the responses a die with `fault` produces under `tests`. Throws
-/// std::invalid_argument for a test whose patterns do not fit the netlist.
+/// Simulate the responses a die with `fault` produces under `tests`
+/// (transitionResponses). Throws std::invalid_argument for a test whose
+/// patterns do not fit the netlist.
 [[nodiscard]] std::vector<Response> simulateFaultyResponses(const Netlist& nl,
                                                             std::span<const TwoPattern> tests,
                                                             const TransitionFault& fault);
@@ -43,9 +43,11 @@ struct DiagnosisResult {
     [[nodiscard]] std::size_t bestTieSize() const;
 };
 
-/// Rank `candidates` by how well their simulated responses explain
-/// `observed` (one response per test). Throws std::invalid_argument unless
-/// there is one observed response per test, each |POs| + |FFs| wide.
+/// Rank `candidates` by how well their predicted responses explain
+/// `observed` (one response per test; countMismatchingTests), fewest
+/// mismatching tests first, ties in candidate order. Throws
+/// std::invalid_argument unless there is one observed response per test,
+/// each |POs| + |FFs| wide, and each test fits the netlist.
 [[nodiscard]] DiagnosisResult diagnose(const Netlist& nl, std::span<const TwoPattern> tests,
                                        std::span<const Response> observed,
                                        std::span<const TransitionFault> candidates);

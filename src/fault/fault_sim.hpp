@@ -72,6 +72,8 @@ void checkPatternShape(const Netlist& nl, const Pattern& p, const char* who);
 /// std::invalid_argument unless `p` has one value per PI and per flip-flop.
 void loadPattern(PatternSim& sim, const Pattern& p);
 
+using Response = std::vector<Logic>; ///< a full-scan capture, in response() order
+
 /// The settled full-scan response in word 0, slot 0: PO values, then
 /// flip-flop D values (SimTables::observed).
 [[nodiscard]] std::vector<Logic> response(const PatternSim& sim);
@@ -146,6 +148,36 @@ struct FaultSimOptions {
 /// engine).
 [[nodiscard]] std::vector<std::size_t> countTransitionDetections(
     const Netlist& nl, std::span<const TwoPattern> tests,
+    std::span<const TransitionFault> faults, const FaultSimOptions& opts = {});
+
+/// lastDetectingPatterns' entry for a fault no pattern detects.
+inline constexpr std::size_t kNoPattern = static_cast<std::size_t>(-1);
+
+/// Per fault, the index of the last pattern that detects it, or kNoPattern
+/// (same engine, no dropping): the patterns a reverse-order greedy
+/// compaction keeps (atpg/compaction.hpp).
+[[nodiscard]] std::vector<std::size_t> lastDetectingPatterns(
+    const Netlist& nl, std::span<const Pattern> pats, std::span<const FaultSite> faults,
+    const FaultSimOptions& opts = {});
+[[nodiscard]] std::vector<std::size_t> lastDetectingPatterns(
+    const Netlist& nl, std::span<const TwoPattern> tests, std::span<const TransitionFault> faults,
+    const FaultSimOptions& opts = {});
+
+/// The V2 capture of each test on a die whose one defect is the slow net
+/// `slow` (nullptr: the good die): the net keeps its initial value where
+/// transition grading activates the fault. Throws std::invalid_argument
+/// unless each pattern fits the netlist.
+[[nodiscard]] std::vector<Response> transitionResponses(const Netlist& nl,
+                                                        std::span<const TwoPattern> tests,
+                                                        const TransitionFault* slow);
+
+/// Per fault, how many tests' predicted captures (transitionResponses)
+/// differ from `observed` in value or X-ness: an n-detect count against a
+/// die (same engine; words = 0 runs one word). Throws std::invalid_argument
+/// unless there is one observed response per test, each |POs| + |FFs|
+/// wide, and each pattern fits the netlist.
+[[nodiscard]] std::vector<std::size_t> countMismatchingTests(
+    const Netlist& nl, std::span<const TwoPattern> tests, std::span<const Response> observed,
     std::span<const TransitionFault> faults, const FaultSimOptions& opts = {});
 
 } // namespace flh

@@ -350,12 +350,75 @@ private:
     StuckAtReference v2_;
 };
 
+/// The diagnosis grader: one fault's TransitionGrader excursion, read out
+/// against a die's observed responses. Its hit mask holds the valid slots
+/// where the V2 machine's capture (SimTables::observed) differs from the
+/// observed one in value or X-ness: the faulty capture where the fault is
+/// activated, the good one elsewhere.
+class MismatchGrader {
+public:
+    static constexpr std::size_t kMaxGroup = 1;
+
+    MismatchGrader(std::shared_ptr<const SimTables> tables, unsigned words,
+                   std::span<const Response> observed)
+        : tg_(std::move(tables), words), observed_(observed),
+          obs_(tg_.v2().tables()->observed.size() * 2 * words) {}
+
+    [[nodiscard]] unsigned words() const noexcept { return tg_.words(); }
+
+    /// Load the tests and pack their observed responses: point k's value
+    /// words, then its unknown words.
+    void loadBlock(std::span<const TwoPattern> tests, std::size_t base, std::size_t count) {
+        tg_.loadBlock(tests, base, count);
+        const unsigned W = words();
+        std::fill(obs_.begin(), obs_.end(), 0);
+        for (std::size_t i = 0; i < count; ++i) {
+            const Response& r = observed_[base + i];
+            for (std::size_t k = 0; k < r.size(); ++k)
+                if (r[k] != Logic::Zero)
+                    obs_[k * 2 * W + (r[k] == Logic::X ? W : 0) + i / 64] |= 1ULL << (i % 64);
+        }
+        missOnto(tg_.v2(), good_miss_);
+    }
+
+    unsigned grade(std::span<const TransitionFault> group, const std::uint64_t* valid,
+                   std::uint64_t* hit) {
+        const unsigned W = words();
+        if (!tg_.excite(group, valid, hit, [&](const PatternSim& v2) { missOnto(v2, hit); }))
+            std::copy(good_miss_, good_miss_ + W, hit);
+        std::uint64_t any = 0;
+        for (unsigned w = 0; w < W; ++w) any |= hit[w] &= valid[w];
+        return any != 0;
+    }
+
+private:
+    /// Slots where `sim`'s capture differs from the observed one.
+    void missOnto(const PatternSim& sim, std::uint64_t* m) const {
+        const unsigned W = words();
+        std::fill(m, m + W, 0);
+        const std::vector<NetId>& observed = sim.tables()->observed;
+        for (std::size_t k = 0; k < observed.size(); ++k) {
+            const std::uint64_t* v = sim.valuePlane(observed[k]);
+            const std::uint64_t* x = sim.unknownPlane(observed[k]);
+            const std::uint64_t* ov = obs_.data() + k * 2 * W;
+            const std::uint64_t* ox = ov + W;
+            for (unsigned w = 0; w < W; ++w) m[w] |= (x[w] ^ ox[w]) | (~x[w] & (v[w] ^ ov[w]));
+        }
+    }
+
+    TransitionGrader tg_;
+    std::span<const Response> observed_;
+    std::vector<std::uint64_t> obs_;
+    std::uint64_t good_miss_[kMaxPackedWords] = {};
+};
+
 // ---- sinks -----------------------------------------------------------------
 //
 // A sink takes each graded group's verdict:
-//   closed(i)                      fault i needs no more grading;
-//   take(first, n, found, hit, W)  the verdict of faults [first, first + n);
-//                                  returns how many faults it closed.
+//   closed(i)                            fault i needs no more grading;
+//   take(base, first, n, found, hit, W)  the verdict of faults [first,
+//                                        first + n) on the block at pattern
+//                                        `base`; returns how many it closed.
 
 /// The drop sink: one detection bit per fault, shared by every worker. A
 /// detected fault's bit is set and the fault closed for later blocks. Bits
@@ -372,8 +435,8 @@ public:
 
     /// Take the verdict of the group of `n` faults at `first`: set the bit
     /// of each fault `found` flags. Returns how many it closed.
-    std::size_t take(std::size_t first, std::size_t n, unsigned found, const std::uint64_t*,
-                     unsigned) noexcept {
+    std::size_t take(std::size_t, std::size_t first, std::size_t n, unsigned found,
+                     const std::uint64_t*, unsigned) noexcept {
         for (std::size_t k = 0; k < n; ++k)
             if ((found >> k) & 1)
                 words_[(first + k) >> 6].fetch_or(1ULL << ((first + k) & 63),
@@ -408,12 +471,35 @@ struct NDetectSink {
 
     [[nodiscard]] static bool closed(std::size_t) noexcept { return false; }
 
-    std::size_t take(std::size_t first, std::size_t n, unsigned found, const std::uint64_t* hit,
-                     unsigned words) {
+    std::size_t take(std::size_t, std::size_t first, std::size_t n, unsigned found,
+                     const std::uint64_t* hit, unsigned words) {
         if (!found) return 0;
         for (std::size_t k = 0; k < n; ++k)
             for (unsigned w = 0; w < words; ++w)
                 counts[first + k] += static_cast<std::size_t>(std::popcount(hit[k * words + w]));
+        return 0;
+    }
+};
+
+/// The last-detector sink: per fault, the last pattern that detects it. A
+/// worker walks its blocks in pattern order, so a later block's highest hit
+/// slot overwrites an earlier one. Workers write disjoint chunks.
+struct LastDetectorSink {
+    std::vector<std::size_t> last;
+
+    [[nodiscard]] static bool closed(std::size_t) noexcept { return false; }
+
+    std::size_t take(std::size_t base, std::size_t first, std::size_t n, unsigned found,
+                     const std::uint64_t* hit, unsigned words) {
+        for (std::size_t k = 0; k < n; ++k) {
+            if (!((found >> k) & 1)) continue;
+            for (unsigned w = words; w-- > 0;) {
+                if (const std::uint64_t h = hit[k * words + w]) {
+                    last[first + k] = base + 64ULL * w + 63 - std::countl_zero(h);
+                    break;
+                }
+            }
+        }
         return 0;
     }
 };
@@ -451,7 +537,8 @@ void runBlocks(const char* engine, std::span<const Pat> pats, std::span<const Fa
                                 [&](std::size_t b, std::size_t e) {
                                     const unsigned found =
                                         grader.grade(faults.subspan(b, e - b), valid, hit);
-                                    tally.detected += sink.take(b, e - b, found, hit, W);
+                                    tally.detected +=
+                                        sink.take(base, b, e - b, found, hit, W);
                                     graded += e - b;
                                 });
                 tally.graded += graded;
@@ -489,8 +576,9 @@ void TransitionGrader::loadBlock(std::span<const TwoPattern> tests, std::size_t 
     loadPatternsPacked(v2_, count, halfOf(tests, base, false));
 }
 
-unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
-                                 const std::uint64_t* valid, std::uint64_t* hit) {
+bool TransitionGrader::activate(std::span<const TransitionFault> group,
+                                const std::uint64_t* valid, std::uint64_t* ok,
+                                std::uint64_t* flip) const {
     if (group.empty() || group.size() > kMaxGroup)
         throw std::invalid_argument("TransitionGrader::grade: a group holds 1 to " +
                                     std::to_string(kMaxGroup) + " faults");
@@ -505,25 +593,30 @@ unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
     // and complementing the net builds exactly its faulty machine. The
     // faults of one net complement disjoint slots (V2 is 1 for slow-to-rise,
     // 0 for slow-to-fall), so one excursion over their union grades all.
-    std::uint64_t flip[kMaxPackedWords] = {};
+    std::fill(flip, flip + W, 0);
     std::uint64_t any = 0;
     for (std::size_t i = 0; i < group.size(); ++i) {
         if (group[i].net != net)
             throw std::invalid_argument("TransitionGrader::grade: faults on different nets");
         const std::uint64_t want_one = group[i].initialValue() == Logic::One ? ~0ULL : 0;
-        std::uint64_t* ok = hit + i * W;
+        std::uint64_t* o = ok + i * W;
         for (unsigned w = 0; w < W; ++w) {
-            ok[w] = ~(v1[w] ^ want_one) & (v2[w] ^ want_one) & ~x1[w] & ~x2[w] & valid[w];
-            flip[w] |= ok[w];
-            any |= ok[w];
+            o[w] = ~(v1[w] ^ want_one) & (v2[w] ^ want_one) & ~x1[w] & ~x2[w] & valid[w];
+            flip[w] |= o[w];
+            any |= o[w];
         }
     }
-    if (!any) return 0;
+    return any != 0;
+}
+
+unsigned TransitionGrader::grade(std::span<const TransitionFault> group,
+                                 const std::uint64_t* valid, std::uint64_t* hit) {
     std::uint64_t diff[kMaxPackedWords];
-    v2_.injectComplement(net, flip);
-    v2_.propagate();
-    v2_.faultDiffOnto(v2_.tables()->is_obs.data(), diff);
-    v2_.clearFault();
+    if (!excite(group, valid, hit, [&](const PatternSim& v2) {
+            v2.faultDiffOnto(v2.tables()->is_obs.data(), diff);
+        }))
+        return 0;
+    const unsigned W = v2_.words();
     unsigned found = 0;
     for (std::size_t i = 0; i < group.size(); ++i) {
         std::uint64_t* h = hit + i * W;
@@ -563,6 +656,79 @@ std::vector<std::size_t> countTransitionDetections(const Netlist& nl,
     NDetectSink sink{std::vector<std::size_t>(faults.size(), 0)};
     gradeInto<TransitionGrader, TransitionReference>(sink, "ndetect", nl, tests, faults, opts);
     return std::move(sink.counts);
+}
+
+std::vector<std::size_t> lastDetectingPatterns(const Netlist& nl, std::span<const Pattern> pats,
+                                               std::span<const FaultSite> faults,
+                                               const FaultSimOptions& opts) {
+    checkShapes(nl, pats, "lastDetectingPatterns");
+    LastDetectorSink sink{std::vector<std::size_t>(faults.size(), kNoPattern)};
+    gradeInto<StuckAtGrader, StuckAtReference>(sink, "last_detector", nl, pats, faults, opts);
+    return std::move(sink.last);
+}
+
+std::vector<std::size_t> lastDetectingPatterns(const Netlist& nl,
+                                               std::span<const TwoPattern> tests,
+                                               std::span<const TransitionFault> faults,
+                                               const FaultSimOptions& opts) {
+    checkShapes(nl, tests, "lastDetectingPatterns");
+    LastDetectorSink sink{std::vector<std::size_t>(faults.size(), kNoPattern)};
+    gradeInto<TransitionGrader, TransitionReference>(sink, "last_detector", nl, tests, faults,
+                                                     opts);
+    return std::move(sink.last);
+}
+
+std::vector<std::size_t> countMismatchingTests(const Netlist& nl,
+                                               std::span<const TwoPattern> tests,
+                                               std::span<const Response> observed,
+                                               std::span<const TransitionFault> faults,
+                                               const FaultSimOptions& opts) {
+    if (observed.size() != tests.size())
+        throw std::invalid_argument("countMismatchingTests: " + std::to_string(observed.size()) +
+                                    " observed responses for " +
+                                    std::to_string(tests.size()) + " tests");
+    const std::size_t width = nl.pos().size() + nl.flipFlops().size();
+    for (std::size_t t = 0; t < observed.size(); ++t)
+        if (observed[t].size() != width)
+            throw std::invalid_argument("countMismatchingTests: response " + std::to_string(t) +
+                                        " has " + std::to_string(observed[t].size()) +
+                                        " values, " + nl.name() + " captures " +
+                                        std::to_string(width));
+    checkShapes(nl, tests, "countMismatchingTests");
+    NDetectSink sink{std::vector<std::size_t>(faults.size(), 0)};
+    if (tests.empty() || faults.empty()) return std::move(sink.counts);
+    const auto tables = std::make_shared<const SimTables>(nl);
+    const unsigned W = effectiveWords(std::max(opts.words, 1U), tests.size());
+    runBlocks("diagnosis", tests, faults, opts.resolveThreads(faults.size()),
+              [&] { return MismatchGrader(tables, W, observed); }, sink);
+    return std::move(sink.counts);
+}
+
+std::vector<Response> transitionResponses(const Netlist& nl, std::span<const TwoPattern> tests,
+                                          const TransitionFault* slow) {
+    std::vector<Response> out(tests.size());
+    if (tests.empty()) return out;
+    const unsigned W = effectiveWords(FaultSimOptions{}.words, tests.size());
+    TransitionGrader grader(std::make_shared<const SimTables>(nl), W);
+    const std::vector<NetId>& observed = grader.v2().tables()->observed;
+    std::uint64_t valid[kMaxPackedWords];
+    std::uint64_t ok[kMaxPackedWords];
+    for (std::size_t base = 0; base < tests.size(); base += 64ULL * W) {
+        const std::size_t count = std::min<std::size_t>(64ULL * W, tests.size() - base);
+        for (unsigned w = 0; w < W; ++w) valid[w] = validMaskWord(count, w);
+        grader.loadBlock(tests, base, count);
+        const auto read = [&](const PatternSim& v2) {
+            for (std::size_t i = 0; i < count; ++i) {
+                Response& r = out[base + i];
+                r.resize(observed.size());
+                for (std::size_t k = 0; k < observed.size(); ++k)
+                    r[k] = v2.get(observed[k], static_cast<unsigned>(i / 64),
+                                  static_cast<unsigned>(i % 64));
+            }
+        };
+        if (!slow || !grader.excite({slow, 1}, valid, ok, read)) read(grader.v2());
+    }
+    return out;
 }
 
 } // namespace flh

@@ -11,11 +11,10 @@
 // excursion — inject, propagate the faulty cone event-driven, compare the
 // observation points, and roll the simulator back (clearFault).
 //
-// The three entry points of fault/fault_sim.hpp (stuck-at and transition
-// grading with dropping, the n-detect profile) share one block driver in
-// parallel_sim.cpp. It is a template over a grader, which loads a block
-// and grades one fault group, and a sink, which takes each group's
-// verdict. There are four graders:
+// The grading entry points of fault/fault_sim.hpp share one block driver in
+// parallel_sim.cpp. It is a template over a grader, which loads a block and
+// grades one fault group, and a sink, which takes each group's verdict.
+// There are five graders:
 //  * packed stuck-at: FaultSimOptions::words x 64 patterns per block,
 //    evaluated plane-wise by the runtime-dispatched SIMD kernel
 //    (cell/logic_block.hpp), detections read from the simulator's undo log
@@ -23,17 +22,19 @@
 //  * packed transition (TransitionGrader below): a net's slow-to-rise /
 //    slow-to-fall pair shares one excursion that complements the net in the
 //    slots where either fault is activated;
+//  * diagnosis: that excursion read out against a die's observed
+//    responses instead of the good machine (TransitionGrader::excite);
 //  * the reference stuck-at and transition graders (words = 0): blocks of
 //    one word, their own slot-by-slot loader, stuck-at injection per fault,
 //    and detection by comparing full good and faulty observation snapshots,
 //    with no undo-log diff. They share only the driver with the packed
 //    graders, which is what makes them an oracle for them.
-// There are two sinks: dropping sets a fault's bit in a shared detected
+// There are three sinks: dropping sets a fault's bit in a shared detected
 // bitmap and closes it for later blocks; n-detect adds the popcount of a
-// fault's hit masks to its count and closes nothing. Every grader produces
-// bit-identical verdicts (a pure function of the pattern set). The packed
-// width is clamped per run to ceil(n_patterns / 64), so small pattern sets
-// never pay for unused words.
+// fault's hit masks to its count and last-detector keeps its highest hit
+// slot, closing nothing. Every grader produces bit-identical verdicts (a
+// pure function of the pattern set). The packed width is clamped per run
+// to ceil(n_patterns / 64), so small pattern sets never pay for unused words.
 //
 // The bitmap is shared through relaxed atomics: a worker sets a fault's
 // bit on first detection and skips any fault whose bit is already set.
@@ -47,6 +48,7 @@
 #include "fault/fault_sim.hpp"
 
 #include <memory>
+#include <utility>
 
 namespace flh {
 
@@ -103,11 +105,38 @@ public:
     /// group[i] has a detecting slot. One propagation covers the whole
     /// group; a group no slot activates propagates nothing. Throws
     /// std::invalid_argument for an empty or oversized group or faults on
-    /// different nets.
+    /// different nets. This is the faultDiffOnto readout of excite().
     unsigned grade(std::span<const TransitionFault> group, const std::uint64_t* valid,
                    std::uint64_t* hit);
 
+    /// The excursion under grade(): fills ok[i * words() + w] with the valid
+    /// slots of word w where V1 sets group[i]'s initial value and V2 its
+    /// final one. If any is set, complements the net there, propagates,
+    /// calls `read(v2)` — in group[i]'s ok slots the V2 machine is its
+    /// faulty machine, elsewhere the good one — rolls back and returns
+    /// true; otherwise returns false. Throws like grade().
+    template <class Read>
+    bool excite(std::span<const TransitionFault> group, const std::uint64_t* valid,
+                std::uint64_t* ok, const Read& read) {
+        std::uint64_t flip[kMaxPackedWords];
+        if (!activate(group, valid, ok, flip)) return false;
+        v2_.injectComplement(group.front().net, flip);
+        v2_.propagate();
+        read(std::as_const(v2_));
+        v2_.clearFault();
+        return true;
+    }
+
+    /// The V2 machine of the loaded block: the good machine outside
+    /// excite()'s readout.
+    [[nodiscard]] const PatternSim& v2() const noexcept { return v2_; }
+
 private:
+    /// excite()'s masks: fills `ok` as excite() describes and `flip` with
+    /// their union; returns whether any slot is set.
+    bool activate(std::span<const TransitionFault> group, const std::uint64_t* valid,
+                  std::uint64_t* ok, std::uint64_t* flip) const;
+
     PatternSim v1_;
     PatternSim v2_;
 };

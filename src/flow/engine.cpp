@@ -169,69 +169,55 @@ RunReport runFlow(const FlowGraph& graph, std::span<const DesignInput> designs,
     const FlowTelemetry& tel = FlowTelemetry::get();
     tel.queue_depth.set(static_cast<std::int64_t>(ready.size()));
 
-    if (n_workers <= 1) {
-        // Inline path: no pool, plain FIFO over the ready queue.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t done = 0;
+
+    // Pulls ready tasks FIFO until every task is done. Worker 0 is the
+    // calling thread, so one worker spawns nothing; only spawned threads
+    // label their trace lane.
+    const auto worker = [&](unsigned worker_id) {
+        if (worker_id > 0 && obs::enabled())
+            obs::setThreadLabel("flow-worker-" + std::to_string(worker_id));
         obs::ScopedSpan sched_span(
-            obs::enabled() ? "schedule:inline" : std::string(), "flow.sched");
-        while (!ready.empty()) {
+            obs::enabled() ? "schedule:worker-" + std::to_string(worker_id) : std::string(),
+            "flow.sched");
+        std::unique_lock<std::mutex> lock(mu);
+        for (;;) {
+            if (done == n_tasks) return;
+            if (ready.empty()) {
+                obs::ScopedSpan wait_span(
+                    obs::enabled() ? "wait:worker-" + std::to_string(worker_id) : std::string(),
+                    "flow.sched");
+                cv.wait(lock, [&] { return !ready.empty() || done == n_tasks; });
+                continue;
+            }
             const std::size_t t = ready.front();
             ready.pop_front();
+            tel.queue_depth.set(static_cast<std::int64_t>(ready.size()));
             const std::size_t dsn = t / n_stages;
             const std::size_t s = t % n_stages;
+            lock.unlock();
             runTask(tt, dsn, s, cache_ptr, opts);
-            for (const std::size_t dep_s : tt.dependents[s])
-                if (--tt.pending[tt.taskId(dsn, dep_s)] == 0) ready.push_back(tt.taskId(dsn, dep_s));
-            tel.queue_depth.set(static_cast<std::int64_t>(ready.size()));
-        }
-    } else {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::size_t done = 0;
-
-        const auto worker = [&](unsigned worker_id) {
-            if (obs::enabled())
-                obs::setThreadLabel("flow-worker-" + std::to_string(worker_id));
-            obs::ScopedSpan sched_span(
-                obs::enabled() ? "schedule:worker-" + std::to_string(worker_id)
-                               : std::string(),
-                "flow.sched");
-            std::unique_lock<std::mutex> lock(mu);
-            for (;;) {
-                if (done == n_tasks) return;
-                if (ready.empty()) {
-                    obs::ScopedSpan wait_span(
-                        obs::enabled() ? "wait:worker-" + std::to_string(worker_id)
-                                       : std::string(),
-                        "flow.sched");
-                    cv.wait(lock, [&] { return !ready.empty() || done == n_tasks; });
-                    continue;
+            lock.lock();
+            ++done;
+            bool woke_any = false;
+            for (const std::size_t dep_s : tt.dependents[s]) {
+                if (--tt.pending[tt.taskId(dsn, dep_s)] == 0) {
+                    ready.push_back(tt.taskId(dsn, dep_s));
+                    woke_any = true;
                 }
-                const std::size_t t = ready.front();
-                ready.pop_front();
-                tel.queue_depth.set(static_cast<std::int64_t>(ready.size()));
-                const std::size_t dsn = t / n_stages;
-                const std::size_t s = t % n_stages;
-                lock.unlock();
-                runTask(tt, dsn, s, cache_ptr, opts);
-                lock.lock();
-                ++done;
-                bool woke_any = false;
-                for (const std::size_t dep_s : tt.dependents[s]) {
-                    if (--tt.pending[tt.taskId(dsn, dep_s)] == 0) {
-                        ready.push_back(tt.taskId(dsn, dep_s));
-                        woke_any = true;
-                    }
-                }
-                tel.queue_depth.set(static_cast<std::int64_t>(ready.size()));
-                if (done == n_tasks || woke_any) cv.notify_all();
             }
-        };
+            tel.queue_depth.set(static_cast<std::int64_t>(ready.size()));
+            if (done == n_tasks || woke_any) cv.notify_all();
+        }
+    };
 
-        std::vector<std::thread> pool;
-        pool.reserve(n_workers);
-        for (unsigned i = 0; i < n_workers; ++i) pool.emplace_back(worker, i);
-        for (std::thread& th : pool) th.join();
-    }
+    std::vector<std::thread> pool;
+    pool.reserve(n_workers - 1);
+    for (unsigned i = 1; i < n_workers; ++i) pool.emplace_back(worker, i);
+    worker(0);
+    for (std::thread& th : pool) th.join();
 
     return RunReport(std::string(kFlowCodeVersion), std::move(tt.records), n_workers,
                      opts.sim_threads);

@@ -43,8 +43,8 @@ struct DesignInput {
 };
 
 struct FlowOptions {
-    /// Scheduler workers. 1 = run inline on the calling thread;
-    /// 0 = one per hardware thread.
+    /// Scheduler workers, the calling thread among them (1 spawns no
+    /// thread); 0 = one per hardware thread.
     unsigned threads = 1;
     /// Inner fault-simulation and ATPG top-off budget handed to each stage.
     unsigned sim_threads = 1;

@@ -1,3 +1,4 @@
+#include "atpg/podem.hpp"
 #include "atpg/transition_atpg.hpp"
 #include "iscas/circuits.hpp"
 #include "obs/telemetry.hpp"
@@ -459,6 +460,46 @@ TEST(TransitionAtpg, CoverageOrderingMatchesPaper) {
     // has none by construction.
     EXPECT_EQ(enh.justify_failures, 0u);
     EXPECT_GT(brd.justify_failures + skw.justify_failures, 0u);
+}
+
+TEST(TransitionAtpg, EnhancedScanGivesEveryFaultOneVerdict) {
+    // Every fault ends detected, V2-untestable, V2-aborted, V1-untestable
+    // or V1-aborted: a V1 justification of the initial value can fail
+    // although V1 is unconstrained, and it is counted, not dropped. A fresh
+    // Podem re-runs both searches on each undetected fault: none may pass
+    // both, and the proofs must match the counters. Aborts are counted at
+    // commit, and a later top-off test may still detect an aborted fault,
+    // so detected + untestable + aborted + v1_untestable + v1_aborted
+    // exceeds the fault count by exactly those.
+    TransitionAtpgConfig cfg;
+    cfg.podem.max_backtracks = 60;
+    std::size_t v1_failures = 0;
+    for (const char* circuit : {"s298", "s641", "s1423"}) {
+        const Netlist nl = makeCircuit(circuit, lib());
+        const auto faults = allTransitionFaults(nl);
+        const auto r = generateTransitionTests(nl, TestApplication::EnhancedScan, faults, cfg);
+        Podem podem(nl, cfg.podem);
+        std::size_t untestable = 0, aborted = 0, v1_untestable = 0, v1_aborted = 0;
+        for (std::size_t f = 0; f < faults.size(); ++f) {
+            if (r.coverage.detected_mask[f]) continue;
+            Pattern v2, v1;
+            const PodemOutcome v2_out = podem.generate(faults[f].equivalentStuckAt(), v2);
+            if (v2_out != PodemOutcome::Success) {
+                ++(v2_out == PodemOutcome::Untestable ? untestable : aborted);
+                continue;
+            }
+            const PodemOutcome v1_out = podem.justify(faults[f].net, faults[f].initialValue(), v1);
+            ASSERT_NE(v1_out, PodemOutcome::Success)
+                << circuit << " " << toString(nl, faults[f]) << ": undetected with no verdict";
+            ++(v1_out == PodemOutcome::Untestable ? v1_untestable : v1_aborted);
+        }
+        EXPECT_EQ(r.untestable, untestable) << circuit;
+        EXPECT_EQ(r.v1_untestable, v1_untestable) << circuit;
+        EXPECT_GE(r.aborted, aborted) << circuit;
+        EXPECT_GE(r.v1_aborted, v1_aborted) << circuit;
+        v1_failures += r.v1_untestable + r.v1_aborted;
+    }
+    EXPECT_GT(v1_failures, 0u);
 }
 
 /// FNV-1a over everything a transition-ATPG run decides: the test set
